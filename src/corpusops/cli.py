@@ -29,11 +29,19 @@ from corpusops import __version__
 from corpusops.corpus import (
     Document,
     SourceClass,
+    parse_record,
     read_records,
+    read_rows,
     word_count,
     write_records,
 )
-from corpusops.dedup import BloomConfig, NearDupConfig, exact_dedup, near_dedup
+from corpusops.dedup import (
+    BloomConfig,
+    BloomFilter,
+    NearDupConfig,
+    exact_dedup,
+    near_dedup,
+)
 from corpusops.evalstats import SentencePair, memorization_rate, pass_at_k
 from corpusops.mix import DupBucket, GroupStat, build_manifest, sample_plan
 from corpusops.packing import PackInput, pack_online
@@ -87,14 +95,25 @@ def _emit(obj: dict, stream: IO[str]) -> None:
 # dedup
 
 
+def _warn_over_capacity(bloom: BloomFilter) -> None:
+    print(
+        f"warning: more than --capacity {bloom.config.capacity} distinct documents; "
+        f"the false-positive rate now climbs past --fpr {bloom.config.target_fpr}, "
+        f"so unique documents may be dropped (see live_fpr in the final stats)",
+        file=sys.stderr,
+    )
+
+
 def cmd_dedup_exact(args: argparse.Namespace) -> int:
     config = BloomConfig(capacity=args.capacity, target_fpr=args.fpr)
     with _open_in(args.input) as src, _open_out(args.output) as dst:
         docs = read_records(src, on_error=_report_bad_line)
-        kept, stats = exact_dedup(docs, config)
+        kept, stats = exact_dedup(docs, config, on_overflow=_warn_over_capacity)
         write_records(kept, dst)
     print(
-        json.dumps({"seen": stats.seen, "dropped": stats.dropped}),
+        json.dumps(
+            {"seen": stats.seen, "dropped": stats.dropped, "live_fpr": stats.live_fpr}
+        ),
         file=sys.stderr,
     )
     return 0
@@ -275,21 +294,27 @@ def _length_for(doc: Document, counter: str) -> int:
     raw = doc.extra.get(field_name)
     if raw is None:
         raise ValueError(f"record {doc.id} is missing length field {field_name!r}")
-    return int(raw)
+    try:
+        return int(raw)
+    except TypeError:
+        raise ValueError(f"record {doc.id} has a non-numeric {field_name!r}") from None
 
 
 def cmd_pack(args: argparse.Namespace) -> int:
     if args.count_with != "whitespace" and not args.count_with.startswith("field:"):
         raise SystemExit("--count-with must be 'whitespace' or 'field:<name>'")
 
+    def parse(line: str, line_number: int) -> PackInput:
+        doc = parse_record(line, line_number)
+        return PackInput(id=doc.id, length=_length_for(doc, args.count_with))
+
     def inputs() -> Iterator[PackInput]:
         with _open_in(args.input) as src:
-            for doc in read_records(src, on_error=_report_bad_line):
-                length = _length_for(doc, args.count_with)
-                if length < 1:
-                    print(f"skipping empty document {doc.id}", file=sys.stderr)
+            for item in read_rows(src, parse, on_error=_report_bad_line):
+                if item.length < 1:
+                    print(f"skipping empty document {item.id}", file=sys.stderr)
                     continue
-                yield PackInput(id=doc.id, length=length)
+                yield item
 
     sequences, stats = pack_online(inputs(), args.capacity, args.max_open)
     with _open_out(args.output) as dst:
@@ -329,6 +354,14 @@ def _parse_tier(name: str, value: str) -> DetectorTier:
         raise SystemExit(f"--{name} expects w,Tmin,Tmax (got {value!r}): {exc}")
 
 
+def _parse_point(line: str, line_number: int) -> MetricPoint:
+    row = json.loads(line)
+    try:
+        return MetricPoint(step=int(row["step"]), value=float(row["loss"]))
+    except (KeyError, TypeError) as exc:
+        raise ValueError(f'record needs numeric "step" and "loss" ({exc!r})') from None
+
+
 def cmd_monitor(args: argparse.Namespace) -> int:
     config = MonitorConfig(
         alert=_parse_tier("alert", args.alert),
@@ -336,16 +369,11 @@ def cmd_monitor(args: argparse.Namespace) -> int:
         checkpoint_interval=args.interval,
         total_steps=args.total_steps,
         webhook=args.webhook or os.environ.get("CORPUSOPS_WEBHOOK"),
-        z_threshold=args.z_threshold,
     )
 
     def metrics() -> Iterator[MetricPoint]:
         with _open_in(args.input) as src:
-            for line in src:
-                if not line.strip():
-                    continue
-                row = json.loads(line)
-                yield MetricPoint(step=int(row["step"]), value=float(row["loss"]))
+            yield from read_rows(src, _parse_point, on_error=_report_bad_line)
 
     with _open_out(args.output) as dst:
         for event in run_monitor(metrics(), config):
@@ -455,7 +483,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_dedup_exact)
 
     p = sub.add_parser("dedup-near", help="MinHash/LSH near dedup")
-    p.add_argument("--perms", type=int, default=128)
+    p.add_argument(
+        "--perms", type=int, default=128, help="signature length (MinHash bins)"
+    )
     p.add_argument("--bands", type=int, default=16)
     p.add_argument("--rows", type=int, default=8)
     p.add_argument("--threshold", type=float, default=0.8)
@@ -507,7 +537,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help="notification endpoint (or set CORPUSOPS_WEBHOOK)",
     )
-    p.add_argument("--z-threshold", type=float, default=5.0)
     add_io(p)
     p.set_defaults(func=cmd_monitor)
 

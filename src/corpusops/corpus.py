@@ -16,7 +16,7 @@ import json
 import logging
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import IO, Any, Callable, Iterable, Iterator
+from typing import IO, Any, Callable, Iterable, Iterator, TypeVar
 
 logger = logging.getLogger(__name__)
 
@@ -25,17 +25,17 @@ __all__ = [
     "RecordError",
     "RecordWriteError",
     "SourceClass",
-    "TokenCounter",
     "document_to_json",
+    "parse_record",
     "read_records",
+    "read_rows",
     "word_count",
     "write_records",
 ]
 
-#: A pluggable pure function mapping text to a length in counting units.
-TokenCounter = Callable[[str], int]
-
 _KNOWN_KEYS = ("id", "text", "source_class", "dup_count", "curated", "timestamp")
+
+Row = TypeVar("Row")
 
 
 class SourceClass(str, Enum):
@@ -94,7 +94,11 @@ def word_count(text: str) -> int:
     return len(text.split())
 
 
-def _parse_line(line: str, line_number: int) -> Document:
+def parse_record(line: str, line_number: int) -> Document:
+    """One wire line as a :class:`Document`; ``ValueError`` if malformed.
+
+    ``line_number`` names the document when the record has no ``id``.
+    """
     obj = json.loads(line)
     if not isinstance(obj, dict):
         raise ValueError("record is not a JSON object")
@@ -136,6 +140,31 @@ def _parse_line(line: str, line_number: int) -> Document:
     )
 
 
+def read_rows(
+    stream: IO[str] | Iterable[str],
+    parse: Callable[[str, int], Row],
+    on_error: Callable[[RecordError], None] | None = None,
+) -> Iterator[Row]:
+    """Yield ``parse(line, line_number)`` per non-blank input line, in order.
+
+    A line whose parse raises ``ValueError`` (bad JSON included) is passed
+    to ``on_error`` as :class:`RecordError` with its 1-based line number;
+    reading then continues with the next line.  The default handler logs
+    a warning.
+    """
+    for line_number, line in enumerate(stream, start=1):
+        if not line.strip():
+            continue
+        try:
+            yield parse(line, line_number)
+        except ValueError as exc:
+            err = RecordError(line_number, str(exc), line.rstrip("\n"))
+            if on_error is not None:
+                on_error(err)
+            else:
+                logger.warning("skipping line %d: %s", err.line_number, err.message)
+
+
 def read_records(
     stream: IO[str] | Iterable[str],
     on_error: Callable[[RecordError], None] | None = None,
@@ -144,23 +173,9 @@ def read_records(
 
     Missing optional fields default (``dup_count=1``, ``curated=False``).
     Malformed lines (bad JSON, missing ``text``, bad field types) are
-    passed to ``on_error`` as :class:`RecordError` with their 1-based line
-    number; parsing then continues with the next line.  The default
-    handler logs a warning.
-
-    Blank lines are ignored.
+    skipped and reported as in :func:`read_rows`.  Blank lines are ignored.
     """
-    for line_number, line in enumerate(stream, start=1):
-        if not line.strip():
-            continue
-        try:
-            yield _parse_line(line, line_number)
-        except (ValueError, json.JSONDecodeError) as exc:
-            err = RecordError(line_number, str(exc), line.rstrip("\n"))
-            if on_error is not None:
-                on_error(err)
-            else:
-                logger.warning("skipping line %d: %s", err.line_number, err.message)
+    return read_rows(stream, parse_record, on_error)
 
 
 def document_to_json(doc: Document) -> dict[str, Any]:

@@ -4,11 +4,12 @@ Two stages, typically run in this order:
 
 1. :func:`exact_dedup` keeps first occurrences by normalized-text digest
    using a Bloom filter, so memory stays constant in the stream length.
-2. :func:`near_dedup` fingerprints documents with word-13-gram MinHash
-   signatures, finds candidate pairs via LSH banding, confirms them by
-   signature similarity, clusters with union-find, and keeps one
-   representative per cluster (curated beats CommonCrawl, newer beats
-   older).
+2. :func:`near_dedup` fingerprints documents with word-13-gram
+   one-permutation MinHash signatures, many documents per numpy call
+   (:func:`signature_matrix`), finds candidate pairs via LSH banding,
+   confirms them by signature similarity, clusters with union-find, and
+   keeps one representative per cluster (curated beats CommonCrawl, newer
+   beats older).
 """
 
 from corpusops.dedup.bloom import BloomConfig, BloomFilter, DedupStats, exact_dedup
@@ -26,6 +27,7 @@ from corpusops.dedup.minhash import (
     normalize,
     shingles,
     signature,
+    signature_matrix,
 )
 from corpusops.dedup.pipeline import NearDupConfig, near_dedup
 
@@ -47,4 +49,5 @@ __all__ = [
     "normalize",
     "shingles",
     "signature",
+    "signature_matrix",
 ]

@@ -4,19 +4,24 @@ The filter is sized from (capacity, target false-positive rate) using the
 standard optimal formulas; membership positions come from double hashing
 of a 16-byte blake2b digest.  :func:`exact_dedup` streams documents and
 keeps the first occurrence of each normalized-text digest.  False
-positives drop a unique document at most at the configured rate; false
+positives drop a unique document at most at the configured rate while
+inserts stay within capacity; past it the rate climbs, so
+:func:`exact_dedup` reports the first overflow and the live rate.  False
 negatives cannot occur, so a true duplicate is never kept.
 """
 
 from __future__ import annotations
 
 import hashlib
+import logging
 import math
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Callable, Iterable, Iterator
 
 from corpusops.corpus import Document
 from corpusops.dedup.minhash import normalize
+
+logger = logging.getLogger(__name__)
 
 __all__ = ["BloomConfig", "BloomFilter", "DedupStats", "exact_dedup"]
 
@@ -59,6 +64,12 @@ class BloomFilter:
         self._bits = bytearray((self.num_bits + 7) // 8)
         self.inserted = 0
 
+    @property
+    def live_fpr(self) -> float:
+        """False-positive rate at the current fill, (1 - e^(-kn/m))^k."""
+        k, m = self.num_hashes, self.num_bits
+        return (1.0 - math.exp(-k * self.inserted / m)) ** k
+
     def _positions(self, item: bytes) -> Iterator[int]:
         digest = hashlib.blake2b(item, digest_size=16).digest()
         h1 = int.from_bytes(digest[:8], "little")
@@ -95,6 +106,7 @@ class DedupStats:
 
     seen: int = 0
     dropped: int = 0
+    live_fpr: float = 0.0
 
 
 def content_digest(text: str) -> bytes:
@@ -102,24 +114,40 @@ def content_digest(text: str) -> bytes:
     return hashlib.blake2b(normalize(text).encode("utf-8"), digest_size=16).digest()
 
 
+def _log_overflow(bloom: BloomFilter) -> None:
+    logger.warning(
+        "more than %d distinct documents: the Bloom filter's false-positive "
+        "rate now exceeds its target",
+        bloom.config.capacity,
+    )
+
+
 def exact_dedup(
-    documents: Iterable[Document], config: BloomConfig
+    documents: Iterable[Document],
+    config: BloomConfig,
+    on_overflow: Callable[[BloomFilter], None] | None = None,
 ) -> tuple[Iterator[Document], DedupStats]:
     """Keep first occurrences by normalized-text digest.
 
-    Returns a lazy kept-document iterator plus live stats; ``stats.seen``
-    and ``stats.dropped`` are final only after the iterator is exhausted.
-    Memory usage is the Bloom bit array, constant in stream length.
+    Returns a lazy kept-document iterator plus live stats; the counters
+    and ``stats.live_fpr`` are final only after the iterator is exhausted.
+    ``on_overflow`` is called once, with the filter, when distinct inserts
+    first exceed ``config.capacity``; the default logs a warning.  Memory
+    usage is the Bloom bit array, constant in stream length.
     """
     stats = DedupStats()
     bloom = BloomFilter(config)
+    overflow = on_overflow or _log_overflow
 
     def generate() -> Iterator[Document]:
         for doc in documents:
             stats.seen += 1
             if bloom.add_if_new(content_digest(doc.text)):
+                if bloom.inserted == config.capacity + 1:
+                    overflow(bloom)
                 yield doc
             else:
                 stats.dropped += 1
+        stats.live_fpr = bloom.live_fpr
 
     return generate(), stats

@@ -1,8 +1,9 @@
 """End-to-end near-deduplication over a document collection.
 
-Fingerprints every document, buckets signatures by LSH band keys, turns
-co-bucketed documents into candidate pairs, confirms and clusters them,
-then keeps one representative per cluster.  The representative's
+Fingerprints documents in batches of about :data:`BATCH_WORDS` words (one
+signature-matrix call per batch), buckets signatures by LSH band keys,
+turns co-bucketed documents into candidate pairs, confirms and clusters
+them, then keeps one representative per cluster.  The representative's
 ``dup_count`` is set to its cluster size so that downstream mix weighting
 can bucket it.
 
@@ -14,7 +15,9 @@ candidates), and signatures are deterministic.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Iterable
+from typing import Iterable, Iterator, Mapping, Sequence
+
+import numpy as np
 
 from corpusops.corpus import Document
 from corpusops.dedup.cluster import ClusterRecord, choose_representative, cluster
@@ -25,11 +28,15 @@ from corpusops.dedup.minhash import (
     Signature,
     lsh_keys,
     normalize,
-    shingles,
-    signature,
+    signature_matrix,
 )
 
-__all__ = ["NearDupConfig", "near_dedup"]
+__all__ = ["NearDupConfig", "fingerprint", "near_dedup"]
+
+#: Words fingerprinted per signature-matrix call.  Large enough to amortize
+#: numpy's per-call cost, small enough that the batch's word hashes and
+#: shingle arrays stay a few MB beside the documents themselves.
+BATCH_WORDS = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -54,7 +61,7 @@ class NearDupConfig:
 
 
 def candidate_pairs_from_buckets(
-    signatures: dict[str, Signature], config: NearDupConfig
+    signatures: Mapping[str, Signature], config: NearDupConfig
 ) -> set[tuple[str, str]]:
     """All unordered id pairs sharing at least one LSH band bucket."""
     buckets: dict[bytes, list[str]] = {}
@@ -68,6 +75,51 @@ def candidate_pairs_from_buckets(
             for j in range(i + 1, len(members)):
                 pairs.add((members[i], members[j]))
     return pairs
+
+
+def _batches(
+    documents: Iterable[Document], batch_words: int
+) -> Iterator[tuple[list[str], list[str]]]:
+    """(ids, normalized texts) of non-empty documents, ~batch_words words each."""
+    ids: list[str] = []
+    texts: list[str] = []
+    words = 0
+    for doc in documents:
+        text = normalize(doc.text)
+        if not text:
+            continue
+        ids.append(doc.id)
+        texts.append(text)
+        words += text.count(" ") + 1  # normalized text: single spaces
+        if words >= batch_words:
+            yield ids, texts
+            ids, texts, words = [], [], 0
+    if ids:
+        yield ids, texts
+
+
+def fingerprint(
+    documents: Sequence[Document],
+    config: NearDupConfig,
+    batch_words: int = BATCH_WORDS,
+) -> dict[str, Signature]:
+    """Signatures of all documents with at least one word after normalization.
+
+    Documents are sketched in batches of about ``batch_words`` words; the
+    rows of one ``len(documents) x num_perm`` matrix back the returned
+    signatures, and batch boundaries do not change any value.
+    """
+    matrix = np.empty((len(documents), config.num_perm), dtype=np.uint64)
+    ids: list[str] = []
+    for batch_ids, texts in _batches(documents, batch_words):
+        matrix[len(ids) : len(ids) + len(texts)] = signature_matrix(
+            texts, config.perm_seed, config.num_perm, config.shingle_size
+        )
+        ids += batch_ids
+    return {
+        doc_id: Signature(values=row, perm_seed=config.perm_seed)
+        for doc_id, row in zip(ids, matrix)
+    }
 
 
 def near_dedup(
@@ -85,12 +137,7 @@ def near_dedup(
     if len(by_id) != len(docs):
         raise ValueError("document ids must be unique within one dedup run")
 
-    signatures: dict[str, Signature] = {}
-    for doc in docs:
-        grams = shingles(normalize(doc.text), config.shingle_size)
-        if grams:
-            signatures[doc.id] = signature(grams, config.perm_seed, config.num_perm)
-
+    signatures = fingerprint(docs, config)
     pairs = candidate_pairs_from_buckets(signatures, config)
     clusters = cluster(pairs, signatures, config.confirm_threshold)
 

@@ -77,7 +77,6 @@ class MonitorConfig:
     total_steps: int
     webhook: str | None = None
     z_window_fraction: float = 0.01
-    z_threshold: float = 5.0
     mad_floor: float = 1e-8
 
     def __post_init__(self) -> None:

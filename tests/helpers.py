@@ -7,9 +7,12 @@ production implementations without sharing their code paths.
 
 from __future__ import annotations
 
+import hashlib
 import itertools
 import math
 import random
+
+import numpy as np
 
 # ---------------------------------------------------------------------------
 # Jaccard / shingle-set generators
@@ -35,6 +38,57 @@ def shingle_pair_with_jaccard(rng: random.Random, target_j: float, union_size: i
     a = shared + [fresh_token(rng) for _ in range(n_a_only)]
     b = shared + [fresh_token(rng) for _ in range(n_only - n_a_only)]
     return a, b
+
+
+# ---------------------------------------------------------------------------
+# One-permutation MinHash, transcribed from the documented hash family with
+# Python integers and loops
+
+
+MASK64 = (1 << 64) - 1
+
+
+def _reference_splitmix64(x: int) -> int:
+    x = (x + 0x9E3779B97F4A7C15) & MASK64
+    x = ((x ^ (x >> 30)) * 0xBF58476D1CE4E5B9) & MASK64
+    x = ((x ^ (x >> 27)) * 0x94D049BB133111EB) & MASK64
+    return x ^ (x >> 31)
+
+
+def reference_oph_signature(shingle_set, perm_seed: int, num_perm: int = 128) -> list[int]:
+    """Word blake2b -> polynomial -> keyed splitmix64 -> bins -> densify."""
+    base, probes = 0xFF51AFD7ED558CCD, 32
+    shingle_key, probe_key = (
+        int(k) for k in np.random.default_rng(perm_seed).integers(0, 2**64, size=2, dtype=np.uint64)
+    )
+    bins: list[int | None] = [None] * num_perm
+    for shingle in set(shingle_set):
+        poly = 0
+        for word in shingle.split():
+            digest = hashlib.blake2b(word.encode("utf-8"), digest_size=8).digest()
+            poly = (poly * base + int.from_bytes(digest, "little")) & MASK64
+        h = _reference_splitmix64(poly ^ shingle_key)
+        b = h % num_perm
+        if bins[b] is None or h < bins[b]:
+            bins[b] = h
+    out = []
+    for b in range(num_perm):
+        source = None
+        if bins[b] is not None:
+            source = b
+        for attempt in range(probes):
+            if source is not None:
+                break
+            probe = _reference_splitmix64((b * probes + attempt) ^ probe_key) % num_perm
+            if bins[probe] is not None:
+                source = probe
+        step = 1
+        while source is None:
+            if bins[(b + step) % num_perm] is not None:
+                source = (b + step) % num_perm
+            step += 1
+        out.append(bins[source])
+    return out
 
 
 # ---------------------------------------------------------------------------

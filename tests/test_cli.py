@@ -6,6 +6,7 @@ import sys
 import pytest
 
 from corpusops.cli import main
+from corpusops.dedup import BloomConfig, BloomFilter
 
 
 def run_cli(args, stdin_text="", monkeypatch=None, capsys=None):
@@ -38,7 +39,31 @@ class TestDedupExactCli:
         assert code == 0
         kept = parse_lines(out)
         assert [d["id"] for d in kept] == ["a", "c"]
-        assert json.loads(err.splitlines()[-1]) == {"seen": 3, "dropped": 1}
+        bloom = BloomFilter(BloomConfig(capacity=100, target_fpr=0.001))
+        bloom.inserted = 2
+        assert json.loads(err.splitlines()[-1]) == {
+            "seen": 3, "dropped": 1, "live_fpr": pytest.approx(bloom.live_fpr)
+        }
+        assert "warning" not in err
+
+    def test_capacity_overflow_warns_once(self, monkeypatch, capsys):
+        stdin = records(*({"id": f"d{i}", "text": f"document number {i}"} for i in range(6000)))
+        code, out, err = run_cli(
+            ["dedup-exact", "--capacity", "500", "--fpr", "0.001"],
+            stdin, monkeypatch, capsys,
+        )
+        assert code == 0
+        warnings = [line for line in err.splitlines() if line.startswith("warning:")]
+        assert len(warnings) == 1 and "--capacity 500" in warnings[0]
+        # "skipping ..." and "line N: ..." report dropped input records;
+        # an overflow drops none by itself.
+        assert "skipping" not in err and not any(
+            line.startswith("line ") for line in err.splitlines()
+        )
+        stats = json.loads(err.splitlines()[-1])
+        assert stats["seen"] == 6000
+        assert stats["dropped"] == 6000 - len(parse_lines(out))
+        assert stats["live_fpr"] > 0.001
 
 
 class TestDedupNearCli:
@@ -167,7 +192,42 @@ class TestPackCli:
         assert rows[0]["entries"] == [{"id": "a", "len": 7}]
 
 
+class TestPackCliBadLines:
+    def test_missing_length_field_is_skipped_and_reported(self, monkeypatch, capsys):
+        args = ["pack", "--capacity", "8", "--count-with", "field:n"]
+        good = [{"id": "a", "text": "x", "n": 3}, {"id": "c", "text": "z", "n": 4}]
+        _, expected, _ = run_cli(args, records(*good), monkeypatch, capsys)
+        stdin = records(good[0], {"id": "b", "text": "y"}) + "not json\n" + records(good[1])
+        code, out, err = run_cli(args, stdin, monkeypatch, capsys)
+        assert code == 0
+        assert out == expected
+        assert err.splitlines() == [
+            "line 2: record b is missing length field 'n'",
+            "line 3: Expecting value: line 1 column 1 (char 0)",
+        ]
+
+
 class TestMonitorCli:
+    ARGS = [
+        "monitor", "--total-steps", "2000",
+        "--alert", "3,2.0,3.0", "--restart", "5,2.5,4.0",
+        "--interval", "500",
+    ]
+
+    @pytest.mark.parametrize(
+        "garbage", ["not json", '{"step": 5}', "[1, 2]", '{"step": "x", "loss": 1}']
+    )
+    def test_bad_line_is_skipped_and_reported(self, garbage, monkeypatch, capsys):
+        values = [1.0] * 20 + [5.0] * 8 + [1.0] * 10
+        rows = [{"step": 1030 + i, "loss": v} for i, v in enumerate(values)]
+        _, expected, _ = run_cli(self.ARGS, records(*rows), monkeypatch, capsys)
+        stdin = records(*rows[:25]) + garbage + "\n" + records(*rows[25:])
+        code, out, err = run_cli(self.ARGS, stdin, monkeypatch, capsys)
+        assert code == 0
+        assert parse_lines(out) == parse_lines(expected)
+        assert any(e["tier"] == 2 for e in parse_lines(out))
+        assert err.startswith("line 26: ") and len(err.splitlines()) == 1
+
     def test_webhook_from_environment(self, monkeypatch, capsys):
         # Endpoint may come from CORPUSOPS_WEBHOOK instead of --webhook;
         # an unreachable one is logged, never fatal.

@@ -1,3 +1,4 @@
+import math
 import random
 
 import pytest
@@ -100,3 +101,18 @@ class TestExactDedup:
         drop_rate = stats.dropped / stats.seen
         assert drop_rate <= 0.002
         assert n_kept + stats.dropped == 10_000
+
+    def test_overflow_reported_once_when_capacity_is_first_exceeded(self):
+        calls = []
+        stream = [doc(i, f"text {i}") for i in range(8)] + [doc(8, "text 0")]
+        kept, stats = exact_dedup(
+            stream,
+            BloomConfig(capacity=3, target_fpr=0.01),
+            on_overflow=lambda bloom: calls.append(bloom.inserted),
+        )
+        assert [d.id for d in kept] == [f"d{i}" for i in range(8)]
+        assert calls == [4]
+        config = BloomConfig(capacity=3, target_fpr=0.01)
+        k, m = config.num_hashes, config.num_bits
+        assert stats.live_fpr == pytest.approx((1 - math.exp(-k * 8 / m)) ** k)
+        assert stats.live_fpr > config.target_fpr

@@ -1,20 +1,37 @@
 import math
+import os
 import random
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from corpusops.corpus import Document
 from corpusops.dedup import (
     LshConfig,
+    NearDupConfig,
     estimate_jaccard,
     lsh_keys,
+    near_dedup,
     normalize,
     shingles,
     signature,
+    signature_matrix,
 )
-from helpers import exact_jaccard, fresh_token, shingle_pair_with_jaccard
+from corpusops.dedup.pipeline import BATCH_WORDS, fingerprint
+from helpers import (
+    exact_jaccard,
+    fresh_token,
+    mutate_document,
+    random_words,
+    reference_oph_signature,
+    shingle_pair_with_jaccard,
+)
+
+MAX_U64 = np.iinfo(np.uint64).max
 
 
 class TestNormalize:
@@ -189,3 +206,109 @@ class TestLshKeys:
         sig = signature(["x"], perm_seed=0, num_perm=100)
         with pytest.raises(ValueError):
             lsh_keys(sig, LshConfig(bands=16, rows=8))
+
+
+# Words with capitals, punctuation and non-ASCII letters, joined by mixed
+# whitespace: exercises normalize, short documents and 13-gram windows.
+_words = st.text(alphabet="abcdeXY,.!'é已 ", min_size=1, max_size=5)
+_texts = st.lists(_words, max_size=40).flatmap(
+    lambda ws: st.sampled_from([" ", "\n", "\t "]).map(lambda sep: sep.join(ws))
+)
+
+
+class TestSignatureMatrix:
+    @given(st.lists(_texts, min_size=1, max_size=6), st.integers(0, 2**32))
+    @settings(max_examples=150, deadline=None)
+    def test_single_document_api_equals_batched_row(self, texts, seed):
+        normalized = [normalize(t) for t in texts if normalize(t)]
+        if not normalized:
+            return
+        matrix = signature_matrix(normalized, perm_seed=seed)
+        assert matrix.shape == (len(normalized), 128)
+        for row, text in zip(matrix, normalized):
+            assert np.array_equal(signature(shingles(text), seed).values, row)
+
+    @given(_texts, st.integers(0, 2**32), st.sampled_from([16, 100, 128]))
+    @settings(max_examples=100, deadline=None)
+    def test_matches_loop_reference(self, text, seed, num_perm):
+        grams = shingles(normalize(text))
+        if not grams:
+            return
+        got = signature(grams, seed, num_perm).values.tolist()
+        assert got == reference_oph_signature(grams, seed, num_perm)
+
+    def test_matches_loop_reference_on_mixed_shingles(self):
+        grams = ["", "one", "two words", "x y z", "two words"] + [f"g{i}" for i in range(300)]
+        assert signature(grams, 5).values.tolist() == reference_oph_signature(grams, 5)
+
+    @pytest.mark.parametrize("n_words", [1, 12, 13])
+    def test_one_shingle_document_fills_every_bin(self, n_words):
+        text = " ".join(f"w{i}" for i in range(n_words))
+        assert len(shingles(text)) == 1
+        values = signature(shingles(text), perm_seed=3).values
+        assert len(set(values.tolist())) == 1
+        assert values[0] != MAX_U64
+
+    def test_sparse_document_borrows_only_from_filled_bins(self):
+        text = " ".join(f"w{i}" for i in range(15))  # three shingles
+        values = signature_matrix([text], perm_seed=8)[0]
+        distinct = set(values.tolist())
+        assert 1 <= len(distinct) <= 3
+        # A borrowed value still sits in its own bin: value % num_perm.
+        for value in distinct:
+            assert values[value % 128] == value
+
+    @pytest.mark.parametrize("num_perm,bands,rows", [(64, 16, 4), (100, 20, 5)])
+    def test_other_signature_lengths(self, num_perm, bands, rows):
+        rng = random.Random(num_perm)
+        base = random_words(rng, 150)
+        docs = [
+            Document(id="a", text=" ".join(base)),
+            Document(id="b", text=" ".join(mutate_document(rng, base))),
+            Document(id="c", text=" ".join(random_words(rng, 150))),
+        ]
+        sig = signature(shingles(normalize(docs[0].text)), 0, num_perm)
+        assert len(sig) == num_perm
+        assert len(lsh_keys(sig, LshConfig(bands=bands, rows=rows))) == bands
+        config = NearDupConfig(num_perm=num_perm, bands=bands, rows=rows)
+        kept, clusters = near_dedup(docs, config)
+        assert [c.members for c in clusters] == [("a", "b")]
+        assert len(kept) == 2
+
+    def test_same_values_under_different_hash_seeds(self):
+        script = (
+            "from corpusops.dedup import normalize, shingles, signature\n"
+            "text = normalize('The quick brown fox, jumps over the lazy dog! ' * 4)\n"
+            "print(signature(shingles(text), 11).values.tobytes().hex())\n"
+        )
+        outputs = []
+        for hash_seed in ("1", "2"):
+            env = dict(os.environ, PYTHONHASHSEED=hash_seed)
+            env["PYTHONPATH"] = os.pathsep.join(p for p in sys.path if p)
+            proc = subprocess.run(
+                [sys.executable, "-c", script],
+                capture_output=True, text=True, env=env, timeout=60, check=True,
+            )
+            outputs.append(proc.stdout.strip())
+        text = normalize("The quick brown fox, jumps over the lazy dog! " * 4)
+        here = signature(shingles(text), 11).values.tobytes().hex()
+        assert outputs == [here, here]
+
+    def test_batch_boundaries_do_not_change_signatures(self):
+        rng = random.Random(99)
+        docs = [
+            Document(id=f"d{i}", text=" ".join(random_words(rng, rng.randint(0, 60))))
+            for i in range(80)
+        ]
+        config = NearDupConfig(perm_seed=4)
+        reference = fingerprint(docs, config, batch_words=10**9)
+        assert len(reference) == sum(1 for d in docs if d.text)
+        for doc in docs[:10]:
+            if doc.text:
+                single = signature(shingles(normalize(doc.text)), config.perm_seed)
+                assert reference[doc.id] == single
+        for batch_words in (1, 50, 333, BATCH_WORDS):
+            batched = fingerprint(docs, config, batch_words=batch_words)
+            assert list(batched) == list(reference)
+            for doc_id, sig in reference.items():
+                assert batched[doc_id] == sig
