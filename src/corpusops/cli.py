@@ -35,13 +35,7 @@ from corpusops.corpus import (
     word_count,
     write_records,
 )
-from corpusops.dedup import (
-    BloomConfig,
-    BloomFilter,
-    NearDupConfig,
-    exact_dedup,
-    near_dedup,
-)
+from corpusops.dedup import BloomConfig, NearDupConfig, exact_dedup, near_dedup
 from corpusops.evalstats import SentencePair, memorization_rate, pass_at_k
 from corpusops.mix import DupBucket, GroupStat, build_manifest, sample_plan
 from corpusops.packing import PackInput, pack_online
@@ -95,21 +89,21 @@ def _emit(obj: dict, stream: IO[str]) -> None:
 # dedup
 
 
-def _warn_over_capacity(bloom: BloomFilter) -> None:
-    print(
-        f"warning: more than --capacity {bloom.config.capacity} distinct documents; "
-        f"the false-positive rate now climbs past --fpr {bloom.config.target_fpr}, "
-        f"so unique documents may be dropped (see live_fpr in the final stats)",
-        file=sys.stderr,
-    )
-
-
 def cmd_dedup_exact(args: argparse.Namespace) -> int:
     config = BloomConfig(capacity=args.capacity, target_fpr=args.fpr)
     with _open_in(args.input) as src, _open_out(args.output) as dst:
         docs = read_records(src, on_error=_report_bad_line)
-        kept, stats = exact_dedup(docs, config, on_overflow=_warn_over_capacity)
+        kept, stats = exact_dedup(docs, config)
         write_records(kept, dst)
+    inserted = stats.seen - stats.dropped
+    if inserted > config.capacity:
+        print(
+            f"warning: {inserted} distinct documents exceed --capacity "
+            f"{config.capacity}; the false-positive rate climbed past --fpr "
+            f"{config.target_fpr}, so unique documents may have been dropped "
+            f"(see live_fpr)",
+            file=sys.stderr,
+        )
     print(
         json.dumps(
             {"seen": stats.seen, "dropped": stats.dropped, "live_fpr": stats.live_fpr}
@@ -296,8 +290,10 @@ def _length_for(doc: Document, counter: str) -> int:
         raise ValueError(f"record {doc.id} is missing length field {field_name!r}")
     try:
         return int(raw)
-    except TypeError:
-        raise ValueError(f"record {doc.id} has a non-numeric {field_name!r}") from None
+    except (TypeError, OverflowError):
+        raise ValueError(
+            f"record {doc.id} has a non-integer {field_name!r}: {raw!r}"
+        ) from None
 
 
 def cmd_pack(args: argparse.Namespace) -> int:
@@ -358,7 +354,7 @@ def _parse_point(line: str, line_number: int) -> MetricPoint:
     row = json.loads(line)
     try:
         return MetricPoint(step=int(row["step"]), value=float(row["loss"]))
-    except (KeyError, TypeError) as exc:
+    except (KeyError, TypeError, OverflowError) as exc:
         raise ValueError(f'record needs numeric "step" and "loss" ({exc!r})') from None
 
 

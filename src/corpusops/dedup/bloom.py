@@ -5,23 +5,20 @@ standard optimal formulas; membership positions come from double hashing
 of a 16-byte blake2b digest.  :func:`exact_dedup` streams documents and
 keeps the first occurrence of each normalized-text digest.  False
 positives drop a unique document at most at the configured rate while
-inserts stay within capacity; past it the rate climbs, so
-:func:`exact_dedup` reports the first overflow and the live rate.  False
+inserts stay within capacity; past it the rate climbs, and
+``DedupStats.live_fpr`` reports the rate the final fill gives.  False
 negatives cannot occur, so a true duplicate is never kept.
 """
 
 from __future__ import annotations
 
 import hashlib
-import logging
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator
+from typing import Iterable, Iterator
 
 from corpusops.corpus import Document
 from corpusops.dedup.minhash import normalize
-
-logger = logging.getLogger(__name__)
 
 __all__ = ["BloomConfig", "BloomFilter", "DedupStats", "exact_dedup"]
 
@@ -102,7 +99,11 @@ class BloomFilter:
 
 @dataclass
 class DedupStats:
-    """Streaming counters; final once the kept stream is fully consumed."""
+    """Streaming counters; final once the kept stream is fully consumed.
+
+    Every kept document is one filter insert, so ``seen - dropped`` above
+    the capacity means the filter overflowed.
+    """
 
     seen: int = 0
     dropped: int = 0
@@ -114,37 +115,22 @@ def content_digest(text: str) -> bytes:
     return hashlib.blake2b(normalize(text).encode("utf-8"), digest_size=16).digest()
 
 
-def _log_overflow(bloom: BloomFilter) -> None:
-    logger.warning(
-        "more than %d distinct documents: the Bloom filter's false-positive "
-        "rate now exceeds its target",
-        bloom.config.capacity,
-    )
-
-
 def exact_dedup(
-    documents: Iterable[Document],
-    config: BloomConfig,
-    on_overflow: Callable[[BloomFilter], None] | None = None,
+    documents: Iterable[Document], config: BloomConfig
 ) -> tuple[Iterator[Document], DedupStats]:
     """Keep first occurrences by normalized-text digest.
 
     Returns a lazy kept-document iterator plus live stats; the counters
     and ``stats.live_fpr`` are final only after the iterator is exhausted.
-    ``on_overflow`` is called once, with the filter, when distinct inserts
-    first exceed ``config.capacity``; the default logs a warning.  Memory
-    usage is the Bloom bit array, constant in stream length.
+    Memory usage is the Bloom bit array, constant in stream length.
     """
     stats = DedupStats()
     bloom = BloomFilter(config)
-    overflow = on_overflow or _log_overflow
 
     def generate() -> Iterator[Document]:
         for doc in documents:
             stats.seen += 1
             if bloom.add_if_new(content_digest(doc.text)):
-                if bloom.inserted == config.capacity + 1:
-                    overflow(bloom)
                 yield doc
             else:
                 stats.dropped += 1

@@ -218,13 +218,11 @@ def _sketch(
     if num_perm < 1:
         raise ValueError(f"num_perm must be >= 1, got {num_perm}")
     shingle_key, probes = _hash_family(perm_seed, num_perm)
-    if widths.min() == widths.max():
-        hashed = _polynomial(word_hashes, starts, int(widths[0]))
-    else:
-        hashed = np.empty(starts.size, dtype=np.uint64)
-        for width in np.unique(widths):
-            chosen = widths == width
-            hashed[chosen] = _polynomial(word_hashes, starts[chosen], int(width))
+    hashed = np.empty(starts.size, dtype=np.uint64)
+    # A range, not np.unique, which imports numpy.ma (about 1.5 MB of RSS).
+    for width in range(int(widths.min()), int(widths.max()) + 1):
+        chosen = widths == width
+        hashed[chosen] = _polynomial(word_hashes, starts[chosen], width)
     hashed = _splitmix64(hashed ^ shingle_key)
 
     cells = rows * num_perm + (hashed % np.uint64(num_perm)).astype(np.int64)

@@ -31,7 +31,7 @@ from corpusops.dedup.minhash import (
     signature_matrix,
 )
 
-__all__ = ["NearDupConfig", "fingerprint", "near_dedup"]
+__all__ = ["NearDupConfig", "near_dedup"]
 
 #: Words fingerprinted per signature-matrix call.  Large enough to amortize
 #: numpy's per-call cost, small enough that the batch's word hashes and
@@ -77,10 +77,8 @@ def candidate_pairs_from_buckets(
     return pairs
 
 
-def _batches(
-    documents: Iterable[Document], batch_words: int
-) -> Iterator[tuple[list[str], list[str]]]:
-    """(ids, normalized texts) of non-empty documents, ~batch_words words each."""
+def _batches(documents: Iterable[Document]) -> Iterator[tuple[list[str], list[str]]]:
+    """(ids, normalized texts) of non-empty documents, ~BATCH_WORDS words each."""
     ids: list[str] = []
     texts: list[str] = []
     words = 0
@@ -91,7 +89,7 @@ def _batches(
         ids.append(doc.id)
         texts.append(text)
         words += text.count(" ") + 1  # normalized text: single spaces
-        if words >= batch_words:
+        if words >= BATCH_WORDS:
             yield ids, texts
             ids, texts, words = [], [], 0
     if ids:
@@ -99,19 +97,17 @@ def _batches(
 
 
 def fingerprint(
-    documents: Sequence[Document],
-    config: NearDupConfig,
-    batch_words: int = BATCH_WORDS,
+    documents: Sequence[Document], config: NearDupConfig
 ) -> dict[str, Signature]:
     """Signatures of all documents with at least one word after normalization.
 
-    Documents are sketched in batches of about ``batch_words`` words; the
-    rows of one ``len(documents) x num_perm`` matrix back the returned
+    Documents are sketched in batches of about :data:`BATCH_WORDS` words;
+    the rows of one ``len(documents) x num_perm`` matrix back the returned
     signatures, and batch boundaries do not change any value.
     """
     matrix = np.empty((len(documents), config.num_perm), dtype=np.uint64)
     ids: list[str] = []
-    for batch_ids, texts in _batches(documents, batch_words):
+    for batch_ids, texts in _batches(documents):
         matrix[len(ids) : len(ids) + len(texts)] = signature_matrix(
             texts, config.perm_seed, config.num_perm, config.shingle_size
         )

@@ -197,13 +197,19 @@ class TestPackCliBadLines:
         args = ["pack", "--capacity", "8", "--count-with", "field:n"]
         good = [{"id": "a", "text": "x", "n": 3}, {"id": "c", "text": "z", "n": 4}]
         _, expected, _ = run_cli(args, records(*good), monkeypatch, capsys)
-        stdin = records(good[0], {"id": "b", "text": "y"}) + "not json\n" + records(good[1])
+        stdin = (
+            records(good[0], {"id": "b", "text": "y"})
+            + "not json\n"
+            + '{"id": "d", "text": "w", "n": 1e999}\n'
+            + records(good[1])
+        )
         code, out, err = run_cli(args, stdin, monkeypatch, capsys)
         assert code == 0
         assert out == expected
         assert err.splitlines() == [
             "line 2: record b is missing length field 'n'",
             "line 3: Expecting value: line 1 column 1 (char 0)",
+            "line 4: record d has a non-integer 'n': inf",
         ]
 
 
@@ -215,7 +221,14 @@ class TestMonitorCli:
     ]
 
     @pytest.mark.parametrize(
-        "garbage", ["not json", '{"step": 5}', "[1, 2]", '{"step": "x", "loss": 1}']
+        "garbage",
+        [
+            "not json",
+            '{"step": 5}',
+            "[1, 2]",
+            '{"step": "x", "loss": 1}',
+            '{"step": 1e999, "loss": 1}',
+        ],
     )
     def test_bad_line_is_skipped_and_reported(self, garbage, monkeypatch, capsys):
         values = [1.0] * 20 + [5.0] * 8 + [1.0] * 10

@@ -102,17 +102,12 @@ class TestExactDedup:
         assert drop_rate <= 0.002
         assert n_kept + stats.dropped == 10_000
 
-    def test_overflow_reported_once_when_capacity_is_first_exceeded(self):
-        calls = []
-        stream = [doc(i, f"text {i}") for i in range(8)] + [doc(8, "text 0")]
-        kept, stats = exact_dedup(
-            stream,
-            BloomConfig(capacity=3, target_fpr=0.01),
-            on_overflow=lambda bloom: calls.append(bloom.inserted),
-        )
-        assert [d.id for d in kept] == [f"d{i}" for i in range(8)]
-        assert calls == [4]
+    def test_live_fpr_past_capacity(self):
         config = BloomConfig(capacity=3, target_fpr=0.01)
+        stream = [doc(i, f"text {i}") for i in range(8)] + [doc(8, "text 0")]
+        kept, stats = exact_dedup(stream, config)
+        assert [d.id for d in kept] == [f"d{i}" for i in range(8)]
+        assert stats.seen - stats.dropped == 8
         k, m = config.num_hashes, config.num_bits
         assert stats.live_fpr == pytest.approx((1 - math.exp(-k * 8 / m)) ** k)
         assert stats.live_fpr > config.target_fpr

@@ -21,7 +21,7 @@ from corpusops.dedup import (
     signature,
     signature_matrix,
 )
-from corpusops.dedup.pipeline import BATCH_WORDS, fingerprint
+from corpusops.dedup import pipeline
 from helpers import (
     exact_jaccard,
     fresh_token,
@@ -294,21 +294,24 @@ class TestSignatureMatrix:
         here = signature(shingles(text), 11).values.tobytes().hex()
         assert outputs == [here, here]
 
-    def test_batch_boundaries_do_not_change_signatures(self):
+    def test_batch_boundaries_do_not_change_signatures(self, monkeypatch):
         rng = random.Random(99)
         docs = [
             Document(id=f"d{i}", text=" ".join(random_words(rng, rng.randint(0, 60))))
             for i in range(80)
         ]
         config = NearDupConfig(perm_seed=4)
-        reference = fingerprint(docs, config, batch_words=10**9)
+        default_budget = pipeline.BATCH_WORDS
+        monkeypatch.setattr(pipeline, "BATCH_WORDS", 10**9)
+        reference = pipeline.fingerprint(docs, config)
         assert len(reference) == sum(1 for d in docs if d.text)
         for doc in docs[:10]:
             if doc.text:
                 single = signature(shingles(normalize(doc.text)), config.perm_seed)
                 assert reference[doc.id] == single
-        for batch_words in (1, 50, 333, BATCH_WORDS):
-            batched = fingerprint(docs, config, batch_words=batch_words)
+        for batch_words in (1, 50, 333, default_budget):
+            monkeypatch.setattr(pipeline, "BATCH_WORDS", batch_words)
+            batched = pipeline.fingerprint(docs, config)
             assert list(batched) == list(reference)
             for doc_id, sig in reference.items():
                 assert batched[doc_id] == sig
