@@ -8,7 +8,7 @@ wastes most of every sequence.
 
 import random
 
-from corpusops.packing import PackInput, optimal_bins, pack_online
+from corpusops.packing import PackInput, pack_online
 
 rng = random.Random(1)
 N_DOCS = 50_000
@@ -37,12 +37,3 @@ print(f"truncation ratio : {stats.truncation_ratio}")
 
 naive_padding = 1 - total_tokens / (stats.docs_packed * CAPACITY)
 print(f"\nnaive batching would pad {naive_padding:.1%} of every sequence")
-
-print("\nsmall instance vs the exact optimum:")
-lengths = [5, 3, 4, 2, 6, 7, 1]
-seqs, _ = pack_online(
-    (PackInput(id=str(i), length=n) for i, n in enumerate(lengths)), 8, 8
-)
-used = sum(1 for _ in seqs)
-print(f"  lengths {lengths} capacity 8: best-fit={used} bins, "
-      f"optimal={optimal_bins(lengths, 8)} bins")

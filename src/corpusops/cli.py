@@ -23,6 +23,7 @@ import os
 import random
 import sys
 from contextlib import contextmanager
+from dataclasses import replace
 from typing import IO, Iterator
 
 from corpusops import __version__
@@ -35,27 +36,10 @@ from corpusops.corpus import (
     word_count,
     write_records,
 )
-from corpusops.dedup import BloomConfig, NearDupConfig, exact_dedup, near_dedup
-from corpusops.evalstats import SentencePair, memorization_rate, pass_at_k
-from corpusops.mix import DupBucket, GroupStat, build_manifest, sample_plan
-from corpusops.packing import PackInput, pack_online
-from corpusops.recipe import (
-    Schedule,
-    ScheduleKind,
-    build_plan,
-    lr_at,
-    scale_tau,
-)
-from corpusops.runwatch import DetectorTier, MetricPoint, MonitorConfig, run_monitor
-from corpusops.transforms import (
-    FimConfig,
-    RepoFile,
-    append_qa,
-    build_dep_graph,
-    concat_repo,
-    fim_transform,
-    topo_order,
-)
+
+# Each command imports the rest of the library when it starts, so a stage
+# loads only what it runs: numpy, for one, is imported by the dedup
+# commands alone.
 
 
 @contextmanager
@@ -90,6 +74,8 @@ def _emit(obj: dict, stream: IO[str]) -> None:
 
 
 def cmd_dedup_exact(args: argparse.Namespace) -> int:
+    from corpusops.dedup import BloomConfig, exact_dedup
+
     config = BloomConfig(capacity=args.capacity, target_fpr=args.fpr)
     with _open_in(args.input) as src, _open_out(args.output) as dst:
         docs = read_records(src, on_error=_report_bad_line)
@@ -114,6 +100,8 @@ def cmd_dedup_exact(args: argparse.Namespace) -> int:
 
 
 def cmd_dedup_near(args: argparse.Namespace) -> int:
+    from corpusops.dedup import NearDupConfig, near_dedup
+
     config = NearDupConfig(
         num_perm=args.perms,
         bands=args.bands,
@@ -154,20 +142,24 @@ def cmd_dedup_near(args: argparse.Namespace) -> int:
 
 
 def cmd_mix(args: argparse.Namespace) -> int:
-    stats = []
-    with _open_in(args.stats) as src:
-        for line_number, line in enumerate(src, start=1):
-            if not line.strip():
-                continue
-            row = json.loads(line)
-            stats.append(
-                GroupStat(
-                    group=row["group"],
-                    tokens=int(row["tokens"]),
-                    bucket=DupBucket(row["bucket"]),
-                    source_class=SourceClass(row.get("source_class", "CommonCrawl")),
-                )
+    from corpusops.mix import DupBucket, GroupStat, build_manifest, sample_plan
+
+    def parse(line: str, line_number: int) -> GroupStat:
+        row = json.loads(line)
+        try:
+            return GroupStat(
+                group=row["group"],
+                tokens=int(row["tokens"]),
+                bucket=DupBucket(row["bucket"]),
+                source_class=SourceClass(row.get("source_class", "CommonCrawl")),
             )
+        except (KeyError, TypeError, OverflowError) as exc:
+            raise ValueError(
+                f'record needs "group", integer "tokens" and "bucket" ({exc!r})'
+            ) from None
+
+    with _open_in(args.stats) as src:
+        stats = list(read_rows(src, parse, on_error=_report_bad_line))
     manifest = build_manifest(stats)
     quotas = (
         sample_plan(manifest, args.target_tokens)
@@ -213,6 +205,8 @@ def cmd_transform(args: argparse.Namespace) -> int:
 
 
 def _transform_fim(args: argparse.Namespace) -> int:
+    from corpusops.transforms import FimConfig, fim_transform
+
     config = FimConfig(rng_seed=args.seed, mode_psm_probability=args.psm_probability)
     rng = random.Random(args.seed)
     skipped = 0
@@ -227,15 +221,7 @@ def _transform_fim(args: argparse.Namespace) -> int:
                     skipped += 1
                     print(f"skipping {doc.id}: {exc}", file=sys.stderr)
                     continue
-                yield Document(
-                    id=doc.id,
-                    text=text,
-                    source_class=doc.source_class,
-                    dup_count=doc.dup_count,
-                    curated=doc.curated,
-                    timestamp=doc.timestamp,
-                    extra=doc.extra,
-                )
+                yield replace(doc, text=text)
 
     with _open_out(args.output) as dst:
         write_records(transformed(), dst)
@@ -243,34 +229,39 @@ def _transform_fim(args: argparse.Namespace) -> int:
 
 
 def _transform_topo(args: argparse.Namespace) -> int:
+    from corpusops.transforms import RepoFile, build_dep_graph, concat_repo, topo_order
+
     # Input rows: {"repo": name, "files": [{"path":..., "text":...}, ...]}
-    with _open_in(args.input) as src, _open_out(args.output) as dst:
-        for line in src:
-            if not line.strip():
-                continue
-            row = json.loads(line)
+    def parse(line: str, line_number: int) -> dict:
+        row = json.loads(line)
+        try:
             files = [RepoFile(f["path"], f["text"]) for f in row["files"]]
-            listing = [f.path for f in files]
-            order = topo_order(build_dep_graph(files), listing)
-            by_path = {f.path: f for f in files}
-            text = concat_repo([by_path[p] for p in order])
-            _emit({"id": row.get("repo", "repo"), "text": text}, dst)
+            repo = row.get("repo", "repo")
+        except (KeyError, TypeError) as exc:
+            raise ValueError(
+                f'record needs "files" of {{"path", "text"}} objects ({exc!r})'
+            ) from None
+        order = topo_order(build_dep_graph(files), [f.path for f in files])
+        by_path = {f.path: f for f in files}
+        return {"id": repo, "text": concat_repo([by_path[p] for p in order])}
+
+    with _open_in(args.input) as src, _open_out(args.output) as dst:
+        for row in read_rows(src, parse, on_error=_report_bad_line):
+            _emit(row, dst)
     return 0
 
 
 def _transform_qa(args: argparse.Namespace) -> int:
+    from corpusops.transforms import append_qa
+
     # QA pairs ride on the record under "qa": [{"q":..., "a":...}, ...]
     with _open_in(args.input) as src, _open_out(args.output) as dst:
         for doc in read_records(src, on_error=_report_bad_line):
             pairs = [(p["q"], p["a"]) for p in doc.extra.get("qa", [])]
             if pairs:
-                doc = Document(
-                    id=doc.id,
+                doc = replace(
+                    doc,
                     text=append_qa(doc.text, pairs),
-                    source_class=doc.source_class,
-                    dup_count=doc.dup_count,
-                    curated=doc.curated,
-                    timestamp=doc.timestamp,
                     extra={k: v for k, v in doc.extra.items() if k != "qa"},
                 )
             write_records([doc], dst)
@@ -299,6 +290,7 @@ def _length_for(doc: Document, counter: str) -> int:
 def cmd_pack(args: argparse.Namespace) -> int:
     if args.count_with != "whitespace" and not args.count_with.startswith("field:"):
         raise SystemExit("--count-with must be 'whitespace' or 'field:<name>'")
+    from corpusops.packing import PackInput, pack_online
 
     def parse(line: str, line_number: int) -> PackInput:
         doc = parse_record(line, line_number)
@@ -341,6 +333,8 @@ def cmd_pack(args: argparse.Namespace) -> int:
 
 
 def _parse_tier(name: str, value: str) -> DetectorTier:
+    from corpusops.runwatch import DetectorTier
+
     try:
         window, t_min, t_max = value.split(",")
         return DetectorTier(
@@ -350,15 +344,18 @@ def _parse_tier(name: str, value: str) -> DetectorTier:
         raise SystemExit(f"--{name} expects w,Tmin,Tmax (got {value!r}): {exc}")
 
 
-def _parse_point(line: str, line_number: int) -> MetricPoint:
-    row = json.loads(line)
-    try:
-        return MetricPoint(step=int(row["step"]), value=float(row["loss"]))
-    except (KeyError, TypeError, OverflowError) as exc:
-        raise ValueError(f'record needs numeric "step" and "loss" ({exc!r})') from None
-
-
 def cmd_monitor(args: argparse.Namespace) -> int:
+    from corpusops.runwatch import MetricPoint, MonitorConfig, run_monitor
+
+    def parse(line: str, line_number: int) -> MetricPoint:
+        row = json.loads(line)
+        try:
+            return MetricPoint(step=int(row["step"]), value=float(row["loss"]))
+        except (KeyError, TypeError, OverflowError) as exc:
+            raise ValueError(
+                f'record needs numeric "step" and "loss" ({exc!r})'
+            ) from None
+
     config = MonitorConfig(
         alert=_parse_tier("alert", args.alert),
         restart=_parse_tier("restart", args.restart),
@@ -369,7 +366,7 @@ def cmd_monitor(args: argparse.Namespace) -> int:
 
     def metrics() -> Iterator[MetricPoint]:
         with _open_in(args.input) as src:
-            yield from read_rows(src, _parse_point, on_error=_report_bad_line)
+            yield from read_rows(src, parse, on_error=_report_bad_line)
 
     with _open_out(args.output) as dst:
         for event in run_monitor(metrics(), config):
@@ -382,6 +379,8 @@ def cmd_monitor(args: argparse.Namespace) -> int:
 
 
 def _parse_schedule(value: str) -> Schedule:
+    from corpusops.recipe import Schedule, ScheduleKind
+
     try:
         kind, peak, floor, warmup, total = value.split(",")
         return Schedule(
@@ -400,6 +399,8 @@ def _parse_schedule(value: str) -> Schedule:
 def cmd_plan(args: argparse.Namespace) -> int:
     if (args.wd is None) == (args.tau is None):
         raise SystemExit("give exactly one of --wd or --tau")
+    from corpusops.recipe import build_plan, lr_at, scale_tau
+
     tau_target = args.tau
     if tau_target is not None and args.tpp_ref and args.tpp_target:
         tau_target = scale_tau(tau_target, args.tpp_ref, args.tpp_target)
@@ -440,18 +441,24 @@ def cmd_plan(args: argparse.Namespace) -> int:
 
 
 def cmd_evalstats(args: argparse.Namespace) -> int:
+    from corpusops.evalstats import SentencePair, memorization_rate, pass_at_k
+
     if args.metric == "passk":
         print(f"{pass_at_k(args.n, args.c, args.k):.10g}")
         return 0
-    pairs = []
+
+    def parse(line: str, line_number: int) -> SentencePair:
+        row = json.loads(line)
+        try:
+            reference, generated = row["reference"], row["generated"]
+        except (KeyError, TypeError) as exc:
+            raise ValueError(f'record needs "reference" and "generated" ({exc!r})') from None
+        if not (isinstance(reference, str) and isinstance(generated, str)):
+            raise ValueError('"reference" and "generated" must be strings')
+        return SentencePair(reference=reference, generated=generated)
+
     with _open_in(args.pairs) as src:
-        for line in src:
-            if not line.strip():
-                continue
-            row = json.loads(line)
-            pairs.append(
-                SentencePair(reference=row["reference"], generated=row["generated"])
-            )
+        pairs = list(read_rows(src, parse, on_error=_report_bad_line))
     print(f"{memorization_rate(pairs):.10g}")
     return 0
 

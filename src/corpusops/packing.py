@@ -21,7 +21,6 @@ __all__ = [
     "PackInput",
     "PackStats",
     "PackedSequence",
-    "optimal_bins",
     "pack_online",
     "pack_stats",
 ]
@@ -168,49 +167,3 @@ def pack_stats(sequences: Iterable[PackedSequence]) -> PackStats:
         stats.docs_packed += len(seq.entries)
         stats.padding_tokens += seq.padding
     return stats
-
-
-def optimal_bins(lengths: Iterable[int], capacity: int) -> int:
-    """Exact minimum bin count by branch and bound (test oracle).
-
-    Limited to 14 items; larger inputs raise ``ValueError``.
-    """
-    items = sorted(lengths, reverse=True)
-    if len(items) > 14:
-        raise ValueError(f"too many items for exhaustive search: {len(items)}")
-    if any(length > capacity for length in items):
-        raise ValueError("an item exceeds the bin capacity")
-    if not items:
-        return 0
-
-    best = len(items)  # one bin per item always works
-    total = sum(items)
-
-    def search(index: int, bins: list[int]) -> None:
-        nonlocal best
-        if len(bins) >= best:
-            return
-        # Volume lower bound on the bins still needed.
-        used = sum(bins)
-        lower = len(bins) + max(
-            0, -((used + sum(items[index:]) - len(bins) * capacity) // -capacity)
-        )
-        if index == len(items):
-            best = min(best, len(bins))
-            return
-        if lower >= best:
-            return
-        length = items[index]
-        tried: set[int] = set()
-        for i, load in enumerate(bins):
-            if load + length <= capacity and load not in tried:
-                tried.add(load)
-                bins[i] += length
-                search(index + 1, bins)
-                bins[i] -= length
-        bins.append(length)
-        search(index + 1, bins)
-        bins.pop()
-
-    search(0, [])
-    return best

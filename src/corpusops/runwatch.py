@@ -22,8 +22,6 @@ from __future__ import annotations
 
 import json
 import logging
-import urllib.error
-import urllib.request
 from bisect import bisect_left, insort
 from collections import deque
 from dataclasses import dataclass
@@ -217,6 +215,11 @@ class MonitorEvent:
 
 
 def _post_webhook(url: str, event: MonitorEvent, timeout: float = 2.0) -> None:
+    # Imported here so a monitor that never posts does not load urllib
+    # (and with it http.client and email).
+    import urllib.error
+    import urllib.request
+
     body = json.dumps(event.to_json()).encode("utf-8")
     request = urllib.request.Request(
         url, data=body, headers={"Content-Type": "application/json"}

@@ -242,6 +242,51 @@ def reference_pack(lengths, capacity: int, max_open_bins: int):
     return emitted, skipped
 
 
+def optimal_bins(lengths, capacity: int) -> int:
+    """Exact minimum bin count by branch and bound.
+
+    Limited to 14 items; larger inputs raise ``ValueError``.
+    """
+    items = sorted(lengths, reverse=True)
+    if len(items) > 14:
+        raise ValueError(f"too many items for exhaustive search: {len(items)}")
+    if any(length > capacity for length in items):
+        raise ValueError("an item exceeds the bin capacity")
+    if not items:
+        return 0
+
+    best = len(items)  # one bin per item always works
+
+    def search(index: int, bins: list[int]) -> None:
+        nonlocal best
+        if len(bins) >= best:
+            return
+        # Volume lower bound on the bins still needed.
+        used = sum(bins)
+        lower = len(bins) + max(
+            0, -((used + sum(items[index:]) - len(bins) * capacity) // -capacity)
+        )
+        if index == len(items):
+            best = min(best, len(bins))
+            return
+        if lower >= best:
+            return
+        length = items[index]
+        tried: set[int] = set()
+        for i, load in enumerate(bins):
+            if load + length <= capacity and load not in tried:
+                tried.add(load)
+                bins[i] += length
+                search(index + 1, bins)
+                bins[i] -= length
+        bins.append(length)
+        search(index + 1, bins)
+        bins.pop()
+
+    search(0, [])
+    return best
+
+
 # ---------------------------------------------------------------------------
 # Fill-in-the-middle round-trip oracle
 

@@ -24,7 +24,7 @@ from corpusops.dedup import (
 )
 from corpusops.evalstats import SentencePair, memorization_rate, pass_at_k
 from corpusops.mix import DupBucket, GroupStat, build_manifest, weight_of
-from corpusops.packing import PackInput, optimal_bins, pack_online
+from corpusops.packing import PackInput, pack_online
 from corpusops.recipe import (
     Schedule,
     ScheduleKind,
@@ -52,6 +52,7 @@ from corpusops.transforms import (
 from helpers import (
     enumerated_pass_at_k,
     exact_jaccard,
+    optimal_bins,
     planted_corpus,
     reconstruct_fim,
     reference_spike_scores,

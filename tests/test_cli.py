@@ -1,10 +1,13 @@
 import io
 import json
+import os
+import pathlib
 import subprocess
 import sys
 
 import pytest
 
+import corpusops
 from corpusops.cli import main
 from corpusops.dedup import BloomConfig, BloomFilter
 
@@ -108,6 +111,34 @@ class TestMixCli:
         assert [r["quota_tokens"] for r in rows] == [4, 6]
         assert "cc-unique" in err  # human-readable table on stderr
 
+    @pytest.mark.parametrize(
+        "garbage",
+        [
+            "not json",
+            '{"tokens": 5, "bucket": "1"}',
+            '{"group": "g", "tokens": "many", "bucket": "1"}',
+            '{"group": "g", "tokens": 5, "bucket": "7-9"}',
+            "[1, 2]",
+        ],
+    )
+    def test_bad_line_is_skipped_and_reported(self, garbage, tmp_path, monkeypatch, capsys):
+        good = [
+            {"group": "cc-unique", "tokens": 1000, "bucket": "1"},
+            {"group": "cc-dup2_5", "tokens": 500, "bucket": "2-5"},
+        ]
+        stats = tmp_path / "groups.jsonl"
+        manifest = tmp_path / "manifest.jsonl"
+        args = ["mix", "--stats", str(stats), "--target-tokens", "10", "-o", str(manifest)]
+        stats.write_text(records(*good))
+        _, expected_table, _ = run_cli(args, "", monkeypatch, capsys)
+        expected = manifest.read_text()
+        stats.write_text(records(good[0]) + garbage + "\n" + records(good[1]))
+        code, table, err = run_cli(args, "", monkeypatch, capsys)
+        assert code == 0
+        assert manifest.read_text() == expected
+        assert table == expected_table
+        assert err.startswith("line 2: ") and len(err.splitlines()) == 1
+
 
 class TestTransformCli:
     def test_fim_round_trip_tokens_present(self, monkeypatch, capsys):
@@ -150,6 +181,30 @@ class TestTransformCli:
         assert code == 0
         text = parse_lines(out)[0]["text"]
         assert text.index("# util.py") < text.index("# main.py")
+
+    @pytest.mark.parametrize(
+        "garbage",
+        [
+            "not json",
+            '{"repo": "no-files"}',
+            '{"repo": "r", "files": [{"path": "a.py"}]}',
+            '{"repo": "r", "files": [{"path": "a.py", "text": ""}, {"path": "a.py", "text": ""}]}',
+            '"just a string"',
+        ],
+    )
+    def test_topo_bad_line_is_skipped_and_reported(self, garbage, monkeypatch, capsys):
+        good = [
+            {"repo": "one", "files": [{"path": "main.py", "text": "import util\n"},
+                                      {"path": "util.py", "text": "X = 1\n"}]},
+            {"repo": "two", "files": [{"path": "a.py", "text": "A = 2\n"}]},
+        ]
+        _, expected, _ = run_cli(["transform", "topo"], records(*good), monkeypatch, capsys)
+        stdin = records(good[0]) + garbage + "\n" + records(good[1])
+        code, out, err = run_cli(["transform", "topo"], stdin, monkeypatch, capsys)
+        assert code == 0
+        assert out == expected
+        assert [row["id"] for row in parse_lines(out)] == ["one", "two"]
+        assert err.startswith("line 2: ") and len(err.splitlines()) == 1
 
     def test_qa_appends_pairs(self, monkeypatch, capsys):
         stdin = records(
@@ -344,6 +399,30 @@ class TestEvalstatsCli:
         assert code == 0
         assert float(out.strip()) == 50.0
 
+    @pytest.mark.parametrize(
+        "garbage",
+        [
+            "not json",
+            '{"generated": "orphan"}',
+            '{"reference": 3, "generated": "3"}',
+            '{"reference": "", "generated": ""}',
+            "[1]",
+        ],
+    )
+    def test_mem_bad_line_is_skipped_and_reported(self, garbage, tmp_path, monkeypatch, capsys):
+        good = [
+            {"reference": "The answer is 4.", "generated": "The answer is 4."},
+            {"reference": "No clue.", "generated": "Something else."},
+        ]
+        pairs = tmp_path / "pairs.jsonl"
+        pairs.write_text(records(good[0]) + garbage + "\n" + records(good[1]))
+        code, out, err = run_cli(
+            ["evalstats", "mem", "--pairs", str(pairs)], "", monkeypatch, capsys
+        )
+        assert code == 0
+        assert float(out.strip()) == 50.0
+        assert err.startswith("line 2: ") and len(err.splitlines()) == 1
+
 
 class TestErrorPaths:
     def test_malformed_lines_skip_and_report(self, monkeypatch, capsys):
@@ -372,3 +451,69 @@ def test_module_entry_point_subprocess():
     )
     assert proc.returncode == 0
     assert proc.stdout.strip() == "0"
+
+
+class TestImportsPerCommand:
+    """Commands other than the dedup ones run without numpy or urllib."""
+
+    SRC = str(pathlib.Path(corpusops.__file__).resolve().parent.parent)
+    BLOCKED_RUN = (
+        "import sys\n"
+        "sys.modules['numpy'] = None\n"
+        "sys.modules['urllib.request'] = None\n"
+        "from corpusops.cli import main\n"
+        "sys.exit(main(sys.argv[1:]))\n"
+    )
+
+    def run_python(self, code, *args):
+        env = {k: v for k, v in os.environ.items() if k != "CORPUSOPS_WEBHOOK"}
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [self.SRC, env.get("PYTHONPATH")]))
+        return subprocess.run(
+            [sys.executable, "-c", code, *args],
+            capture_output=True, text=True, timeout=60, env=env,
+        )
+
+    def test_importing_the_cli_loads_neither(self):
+        proc = self.run_python(
+            "import sys, corpusops.cli\n"
+            "print(sorted({'numpy', 'urllib.request'} & set(sys.modules)))"
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["pack", "--capacity", "8", "-i", "{docs}"],
+            ["mix", "--stats", "{groups}", "--target-tokens", "10"],
+            ["transform", "topo", "-i", "{repos}"],
+            ["transform", "fim", "--seed", "3", "-i", "{docs}"],
+            ["transform", "qa", "-i", "{qa}"],
+            ["monitor", "--total-steps", "2000", "--alert", "3,2.0,3.0",
+             "--restart", "5,2.5,4.0", "--interval", "500", "-i", "{losses}"],
+            ["plan", "--batch-tokens", "1e6", "--lr", "1e-3", "--tokens", "1e9",
+             "--wd", "0.1", "--schedule", "cosine_to_floor,1e-3,1e-5,10,100"],
+            ["evalstats", "passk", "--n", "4", "--c", "2", "--k", "2"],
+            ["evalstats", "mem", "--pairs", "{pairs}"],
+        ],
+        ids=lambda argv: " ".join(a for a in argv[:2] if not a.startswith("-")),
+    )
+    def test_command_runs_without_numpy_or_urllib(self, argv, tmp_path):
+        inputs = {
+            "docs": records({"id": "a", "text": "def f():\n    return 1\n"}),
+            "groups": records({"group": "g", "tokens": 10, "bucket": "1"}),
+            "repos": records({"repo": "r", "files": [{"path": "a.py", "text": "A = 1\n"}]}),
+            "qa": records({"id": "d", "text": "Body.", "qa": [{"q": "Q?", "a": "A."}]}),
+            "losses": records(
+                *({"step": 1030 + i, "loss": v}
+                  for i, v in enumerate([1.0] * 20 + [5.0] * 8 + [1.0] * 10))
+            ),
+            "pairs": records({"reference": "Same.", "generated": "Same."}),
+        }
+        paths = {}
+        for name, text in inputs.items():
+            paths[name] = tmp_path / f"{name}.jsonl"
+            paths[name].write_text(text)
+        proc = self.run_python(self.BLOCKED_RUN, *(a.format(**paths) for a in argv))
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip()

@@ -8,11 +8,10 @@ from hypothesis import strategies as st
 from corpusops.packing import (
     PackInput,
     PackedSequence,
-    optimal_bins,
     pack_online,
     pack_stats,
 )
-from helpers import reference_pack
+from helpers import optimal_bins, reference_pack
 
 
 def run_pack(lengths, capacity, max_open):
