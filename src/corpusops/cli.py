@@ -38,8 +38,8 @@ from corpusops.corpus import (
 )
 
 # Each command imports the rest of the library when it starts, so a stage
-# loads only what it runs: numpy, for one, is imported by the dedup
-# commands alone.
+# loads only what it runs: numpy, for one, is imported by dedup-near
+# alone.
 
 
 @contextmanager
@@ -100,7 +100,7 @@ def cmd_dedup_exact(args: argparse.Namespace) -> int:
 
 
 def cmd_dedup_near(args: argparse.Namespace) -> int:
-    from corpusops.dedup import NearDupConfig, near_dedup
+    from corpusops.dedup import NearDupConfig, NearDupStats, near_dedup
 
     config = NearDupConfig(
         num_perm=args.perms,
@@ -111,7 +111,8 @@ def cmd_dedup_near(args: argparse.Namespace) -> int:
     )
     with _open_in(args.input) as src:
         docs = list(read_records(src, on_error=_report_bad_line))
-    kept, clusters = near_dedup(docs, config)
+    stats = NearDupStats()
+    kept, clusters = near_dedup(docs, config, stats)
     with _open_out(args.output) as dst:
         write_records(kept, dst)
     cluster_sink = _open_out(args.clusters) if args.clusters else None
@@ -131,7 +132,15 @@ def cmd_dedup_near(args: argparse.Namespace) -> int:
         for row in report_rows:
             print(json.dumps(row), file=sys.stderr)
     print(
-        json.dumps({"documents": len(docs), "kept": len(kept), "clusters": len(clusters)}),
+        json.dumps(
+            {
+                "documents": len(docs),
+                "kept": len(kept),
+                "clusters": len(clusters),
+                "largest_bucket": stats.largest_bucket,
+                "confirmations": stats.confirmations,
+            }
+        ),
         file=sys.stderr,
     )
     return 0

@@ -10,44 +10,43 @@ Two stages, typically run in this order:
    confirms them by signature similarity, clusters with union-find, and
    keeps one representative per cluster (curated beats CommonCrawl, newer
    beats older).
+
+The names below are loaded on first use (PEP 562), so exact dedup, which
+needs only :mod:`~corpusops.dedup.bloom` and
+:mod:`~corpusops.dedup.text`, runs without importing numpy.
 """
 
-from corpusops.dedup.bloom import BloomConfig, BloomFilter, DedupStats, exact_dedup
-from corpusops.dedup.cluster import (
-    ClusterRecord,
-    UnionFind,
-    choose_representative,
-    cluster,
-)
-from corpusops.dedup.minhash import (
-    LshConfig,
-    Signature,
-    estimate_jaccard,
-    lsh_keys,
-    normalize,
-    shingles,
-    signature,
-    signature_matrix,
-)
-from corpusops.dedup.pipeline import NearDupConfig, near_dedup
+from importlib import import_module
 
-__all__ = [
-    "BloomConfig",
-    "BloomFilter",
-    "ClusterRecord",
-    "DedupStats",
-    "LshConfig",
-    "NearDupConfig",
-    "Signature",
-    "UnionFind",
-    "choose_representative",
-    "cluster",
-    "estimate_jaccard",
-    "exact_dedup",
-    "lsh_keys",
-    "near_dedup",
-    "normalize",
-    "shingles",
-    "signature",
-    "signature_matrix",
-]
+_SUBMODULE = {
+    "BloomConfig": "bloom",
+    "BloomFilter": "bloom",
+    "DedupStats": "bloom",
+    "exact_dedup": "bloom",
+    "ClusterRecord": "unionfind",
+    "UnionFind": "unionfind",
+    "choose_representative": "unionfind",
+    "cluster": "unionfind",
+    "LshConfig": "minhash",
+    "Signature": "minhash",
+    "estimate_jaccard": "minhash",
+    "lsh_keys": "minhash",
+    "signature": "minhash",
+    "signature_matrix": "minhash",
+    "NearDupConfig": "pipeline",
+    "NearDupStats": "pipeline",
+    "near_dedup": "pipeline",
+    "normalize": "text",
+    "shingles": "text",
+}
+
+__all__ = sorted(_SUBMODULE)
+
+
+def __getattr__(name: str):
+    submodule = _SUBMODULE.get(name)
+    if submodule is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(import_module(f"{__name__}.{submodule}"), name)
+    globals()[name] = value
+    return value

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from typing import Iterable, Iterator
 
 from corpusops.corpus import Document
-from corpusops.dedup.minhash import normalize
+from corpusops.dedup.text import normalize
 
 __all__ = ["BloomConfig", "BloomFilter", "DedupStats", "exact_dedup"]
 

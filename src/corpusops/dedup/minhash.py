@@ -1,26 +1,43 @@
 """MinHash fingerprinting of documents and LSH banding.
 
-Text is canonicalized (:func:`normalize`), cut into word 13-grams
-(:func:`shingles`), and sketched by one-permutation MinHash into 128 bins
-(Li, Owen & Zhang, NeurIPS 2012) with optimal densification of empty bins
-(Shrivastava, ICML 2017).  The fraction of equal signature components
-estimates the Jaccard similarity of the shingle sets
-(:func:`estimate_jaccard`).  :func:`lsh_keys` splits a signature into band
-keys so that similar documents collide in at least one bucket.
+Text is canonicalized (:func:`~corpusops.dedup.text.normalize`), cut into
+word 13-grams (:func:`~corpusops.dedup.text.shingles`), and sketched by
+one-permutation MinHash into 128 bins (Li, Owen & Zhang, NeurIPS 2012)
+with optimal densification of empty bins (Shrivastava, ICML 2017).  The
+fraction of equal signature components estimates the Jaccard similarity
+of the shingle sets (:func:`estimate_jaccard`).  :func:`band_keys` hashes
+each band of a signature so that similar documents collide in at least
+one bucket.
 
-The hash family, with all arithmetic mod 2**64:
+The hash family, with all arithmetic mod 2**64 and B the odd constant
+``_POLY_BASE``:
 
-* Word hash: the 8-byte blake2b digest of the word's UTF-8 bytes, read
-  little-endian.  Each distinct word is hashed once per batch.
-* Shingle hash: the polynomial ``sum_j w_j * B**(k-1-j)`` over the k word
-  hashes of the shingle, for a fixed odd base B, then splitmix64 of that
-  value XOR a key drawn from ``perm_seed``.
+* Word hash: the polynomial ``r = sum_i b_i * B**i`` over the word's
+  UTF-8 bytes b_0, b_1, ..., then ``splitmix64(r + len * _LENGTH_KEY)``
+  with ``len`` the word's byte count.  Words are the runs of bytes between
+  single spaces, so a batch of texts is joined with ``" "``, encoded once
+  and hashed with a few numpy calls: byte 0x20 never occurs inside a
+  multi-byte UTF-8 sequence.  With prefix sums ``P[k] = sum_{i<k} b_i * B**i``
+  over the whole batch, the word at bytes [s, e) has
+  ``r = (P[e] - P[s]) * B**-s``; B is odd, hence invertible mod 2**64.
+* Shingle hash: the same polynomial over the shingle's k word hashes,
+  ``sum_j w_j * B**j``, computed by the same prefix trick, then
+  ``splitmix64(value XOR shingle_key)``.
+* Seed keys: ``shingle_key`` and ``probe_key`` are the first two outputs
+  of the splitmix64 generator seeded with ``perm_seed``, that is
+  ``splitmix64(s)`` and ``splitmix64(s + 0x9E3779B97F4A7C15)``.  A seed of
+  2**64 or more is first folded down: while it has more than 64 bits, it
+  becomes ``(s >> 64) XOR splitmix64(s mod 2**64)``.
 * Bins: shingle hash h lands in bin ``h % num_perm``; each bin keeps its
   minimum.
 * Densification: an empty bin copies the first non-empty bin along a
-  probe sequence that depends only on the bin index and ``perm_seed``;
+  probe sequence that depends only on the bin index and ``probe_key``;
   after 32 failed probes it takes the nearest non-empty bin to its right,
   circularly, so even a one-shingle document fills every bin.
+
+The word hash is linear over the bytes and not collision-resistant
+against an adversary: someone who knows B can craft words that collide.
+MinHash needs only hash values that look random on natural text.
 
 :func:`signature_matrix` sketches many documents in one set of numpy
 calls; :func:`signature` runs the same kernel on one shingle set, so
@@ -31,73 +48,40 @@ bit.  Signatures are deterministic given (normalized text, ``perm_seed``,
 
 from __future__ import annotations
 
-import hashlib
-import unicodedata
+import operator
+import re
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import chain
 from typing import Iterable, Sequence
 
 import numpy as np
 
+from corpusops.dedup.text import DEFAULT_SHINGLE_SIZE
+
 __all__ = [
     "LshConfig",
     "Signature",
+    "band_keys",
     "estimate_jaccard",
     "lsh_keys",
-    "normalize",
-    "shingles",
     "signature",
     "signature_matrix",
 ]
 
 DEFAULT_NUM_PERMUTATIONS = 128
-DEFAULT_SHINGLE_SIZE = 13
 
-_POLY_BASE = np.uint64(0xFF51AFD7ED558CCD)  # odd, so every word position counts
+_MASK64 = (1 << 64) - 1
+_POLY_BASE = 0xFF51AFD7ED558CCD  # odd, so every position counts and B**-1 exists
+_INVERSE_BASE = pow(_POLY_BASE, -1, 1 << 64)
+_LENGTH_KEY = np.uint64(0xC2B2AE3D27D4EB4F)
+_GOLDEN = 0x9E3779B97F4A7C15
 _PROBES = 32  # densification probes per empty bin before the circular fallback
+_SPACE = 0x20
 
-
-class _PunctuationStripper(dict):
-    """Lazy ``str.translate`` table deleting Unicode P* codepoints."""
-
-    # Deleting via None rather than "" keeps CPython's ASCII fast path.
-    def __missing__(self, codepoint: int) -> str | None:
-        ch = chr(codepoint)
-        out = None if unicodedata.category(ch).startswith("P") else ch
-        self[codepoint] = out
-        return out
-
-
-_PUNCT_TABLE = _PunctuationStripper()
-
-
-def normalize(text: str) -> str:
-    """Canonicalize text before fingerprinting.
-
-    Strips leading/trailing whitespace, lowercases, deletes punctuation
-    (Unicode categories P*, removed rather than replaced by spaces), and
-    collapses every whitespace run (spaces, newlines, tabs) to a single
-    space.  Idempotent.
-    """
-    collapsed = text.strip().lower().translate(_PUNCT_TABLE)
-    return " ".join(collapsed.split())
-
-
-def shingles(normalized: str, n: int = DEFAULT_SHINGLE_SIZE) -> list[str]:
-    """All contiguous word n-grams of normalized text.
-
-    Documents shorter than ``n`` words yield a single whole-document
-    shingle so they stay dedupable; empty text yields no shingles.
-    """
-    if n < 1:
-        raise ValueError(f"shingle size must be >= 1, got {n}")
-    words = normalized.split()
-    if not words:
-        return []
-    if len(words) < n:
-        return [" ".join(words)]
-    return [" ".join(words[i : i + n]) for i in range(len(words) - n + 1)]
+# Every character str.split() splits on, besides the space itself.
+_OTHER_SPACE = re.compile(
+    "[\t\n\x0b\x0c\r\x1c-\x1f\x85\xa0\u1680\u2000-\u200a\u2028\u2029\u202f\u205f\u3000]"
+)
 
 
 @dataclass(eq=False)
@@ -127,49 +111,90 @@ class Signature:
         )
 
 
-def _word_hashes(words: Sequence[str]) -> np.ndarray:
-    """8-byte blake2b of each word, hashing each distinct word once."""
-    vocabulary = dict.fromkeys(words)
-    blake2b = hashlib.blake2b
-    digests = b"".join(
-        [blake2b(word.encode("utf-8"), digest_size=8).digest() for word in vocabulary]
-    )
-    # Digests are read little-endian, whatever the platform's byte order.
-    hashes = np.frombuffer(digests, dtype="<u8").astype(np.uint64)
-    index = dict(zip(vocabulary, range(len(vocabulary))))
-    ids = np.fromiter(map(index.__getitem__, words), dtype=np.intp, count=len(words))
-    return hashes[ids]
-
-
 def _splitmix64(x: np.ndarray) -> np.ndarray:
     # Finalizer from the splitmix64 generator; all ops wrap mod 2**64.
-    with np.errstate(over="ignore"):
-        x = x + np.uint64(0x9E3779B97F4A7C15)
-        x = (x ^ (x >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
-        x = (x ^ (x >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
-        return x ^ (x >> np.uint64(31))
+    x = x + np.uint64(_GOLDEN)
+    x = (x ^ (x >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
+    x = (x ^ (x >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
+    return x ^ (x >> np.uint64(31))
 
 
-def _polynomial(word_hashes: np.ndarray, starts: np.ndarray, width: int) -> np.ndarray:
-    """Horner's rule over ``word_hashes[start : start + width]`` per start."""
-    acc = np.zeros(starts.size, dtype=np.uint64)
-    with np.errstate(over="ignore"):
-        for j in range(width):
-            acc = acc * _POLY_BASE + word_hashes[starts + j]
-    return acc
+def _span_polynomials(
+    values: np.ndarray, starts: np.ndarray, ends: np.ndarray
+) -> np.ndarray:
+    """``sum_j values[s + j] * B**j`` over each span [s, e), mod 2**64.
+
+    Prefix sums ``P[k] = sum_{i<k} values[i] * B**i`` give each span as
+    ``(P[e] - P[s]) * B**-s``; the inverse power is ``B**(n-s) * B**-n``,
+    so one table of forward powers serves both.
+    """
+    n = values.size
+    powers = np.full(n + 1, _POLY_BASE, dtype=np.uint64)
+    powers[0] = 1
+    np.cumprod(powers, out=powers)
+    prefix = np.zeros(n + 1, dtype=np.uint64)
+    np.multiply(values, powers[:n], out=prefix[1:])
+    np.cumsum(prefix[1:], out=prefix[1:])
+    spans = (prefix[ends] - prefix[starts]) * powers[n - starts]
+    return spans * np.uint64(pow(_INVERSE_BASE, n, 1 << 64))
+
+
+def _word_spans(data: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(start, end) byte offsets of the runs between single spaces."""
+    spaces = np.flatnonzero(data == _SPACE)
+    starts = np.concatenate(([0], spaces + 1))
+    ends = np.concatenate((spaces, [data.size]))
+    return starts, ends
+
+
+def _single_spaced(
+    texts: Sequence[str], data: np.ndarray, starts: np.ndarray, ends: np.ndarray
+) -> bool:
+    """True iff ``str.split`` finds exactly the runs between spaces of ``data``.
+
+    ``data`` is the UTF-8 encoding of ``" ".join(texts)``.  The test fails
+    on an empty run (a leading, trailing or doubled space, an empty text)
+    and on any whitespace other than U+0020.  Only bytes below 0x20 or
+    above 0x7F can start such whitespace, so the regex scan runs only
+    when one occurs.
+    """
+    if (ends == starts).any():
+        return False
+    if ((data - np.uint8(_SPACE)) >= 0x60).any():
+        return _OTHER_SPACE.search(" ".join(texts)) is None
+    return True
+
+
+def _word_hashes(data: np.ndarray, starts: np.ndarray, ends: np.ndarray) -> np.ndarray:
+    """Hash of each word [start, end) of the UTF-8 bytes ``data``."""
+    raw = _span_polynomials(data, starts, ends)
+    return _splitmix64(raw + (ends - starts).astype(np.uint64) * _LENGTH_KEY)
+
+
+def _seed_keys(perm_seed: int) -> tuple[int, int]:
+    """(shingle_key, probe_key): the first two splitmix64 outputs from the seed."""
+    seed = operator.index(perm_seed)
+    if seed < 0:
+        raise ValueError("expected non-negative integer")
+    while seed > _MASK64:
+        low = int(_splitmix64(np.array([seed & _MASK64], dtype=np.uint64))[0])
+        seed = (seed >> 64) ^ low
+    state = np.array([seed, (seed + _GOLDEN) & _MASK64], dtype=np.uint64)
+    shingle_key, probe_key = _splitmix64(state).tolist()
+    return shingle_key, probe_key
 
 
 @lru_cache(maxsize=16)
 def _hash_family(perm_seed: int, num_perm: int) -> tuple[np.uint64, np.ndarray]:
     """Shingle key and the (num_perm, _PROBES) densification probe table."""
-    shingle_key, probe_key = np.random.default_rng(perm_seed).integers(
-        0, 2**64, size=2, dtype=np.uint64
-    )
+    if num_perm < 1:
+        raise ValueError(f"num_perm must be >= 1, got {num_perm}")
+    shingle_key, probe_key = _seed_keys(perm_seed)
     cells = np.arange(num_perm * _PROBES, dtype=np.uint64)
-    probes = (_splitmix64(cells ^ probe_key) % np.uint64(num_perm)).astype(np.int64)
-    probes = probes.reshape(num_perm, _PROBES)
+    probes = _splitmix64(cells ^ np.uint64(probe_key)) % np.uint64(num_perm)
+    probes = probes.astype(np.int64).reshape(num_perm, _PROBES)
     probes.flags.writeable = False
-    return shingle_key, probes
+    return np.uint64(shingle_key), probes
 
 
 def _densify(matrix: np.ndarray, filled: np.ndarray, probes: np.ndarray) -> None:
@@ -215,16 +240,10 @@ def _sketch(
 
     Every row must own at least one shingle.
     """
-    if num_perm < 1:
-        raise ValueError(f"num_perm must be >= 1, got {num_perm}")
     shingle_key, probes = _hash_family(perm_seed, num_perm)
-    hashed = np.empty(starts.size, dtype=np.uint64)
-    # A range, not np.unique, which imports numpy.ma (about 1.5 MB of RSS).
-    for width in range(int(widths.min()), int(widths.max()) + 1):
-        chosen = widths == width
-        hashed[chosen] = _polynomial(word_hashes, starts[chosen], width)
-    hashed = _splitmix64(hashed ^ shingle_key)
-
+    hashed = _splitmix64(
+        _span_polynomials(word_hashes, starts, starts + widths) ^ shingle_key
+    )
     cells = rows * num_perm + (hashed % np.uint64(num_perm)).astype(np.int64)
     matrix = np.full(num_rows * num_perm, np.iinfo(np.uint64).max, dtype=np.uint64)
     np.minimum.at(matrix, cells, hashed)
@@ -233,6 +252,16 @@ def _sketch(
     matrix = matrix.reshape(num_rows, num_perm)
     _densify(matrix, filled.reshape(num_rows, num_perm), probes)
     return matrix
+
+
+def _encode(
+    texts: Sequence[str],
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """UTF-8 bytes of ``" ".join(texts)``, its word spans, and each text's byte count."""
+    encoded = [text.encode("utf-8") for text in texts]
+    data = np.frombuffer(b" ".join(encoded), dtype=np.uint8)
+    lengths = np.fromiter(map(len, encoded), dtype=np.int64, count=len(encoded))
+    return data, *_word_spans(data), lengths
 
 
 def signature_matrix(
@@ -245,26 +274,35 @@ def signature_matrix(
 
     Row i is the signature of ``shingles(texts[i], shingle_size)``, bit for
     bit equal to ``signature(shingles(texts[i]), perm_seed, num_perm)``.
-    Every word is hashed once per call and all shingles go through one
-    set of numpy calls, so callers should pass thousands of words at a
-    time.  Raises ``ValueError`` if a text has no words.
+    The texts are joined and hashed as one byte string, so callers should
+    pass thousands of words at a time.  Words are separated by whitespace
+    as ``str.split`` sees it: a batch whose texts hold anything but single
+    spaces between words is first rewritten to that form, which costs a
+    split per text.  Raises ``ValueError`` if a text has no words.
     """
     if shingle_size < 1:
         raise ValueError(f"shingle size must be >= 1, got {shingle_size}")
-    word_lists = list(map(str.split, texts))
-    lengths = np.fromiter(map(len, word_lists), dtype=np.int64, count=len(word_lists))
-    if not lengths.all():
-        raise ValueError("cannot fingerprint a text without words")
+    if not texts:
+        return np.empty((0, num_perm), dtype=np.uint64)
+    data, starts, ends, lengths = _encode(texts)
+    if not _single_spaced(texts, data, starts, ends):
+        texts = [" ".join(text.split()) for text in texts]
+        if not all(texts):
+            raise ValueError("cannot fingerprint a text without words")
+        data, starts, ends, lengths = _encode(texts)
+    # Word index of each text's first word: the spaces before its offset.
+    offsets = np.cumsum(lengths + 1) - lengths - 1
+    first_word = np.searchsorted(starts, offsets)
+    words = np.diff(first_word, append=starts.size)
     # Texts shorter than the shingle size form one whole-text shingle.
-    counts = np.maximum(lengths - shingle_size + 1, 1)
+    counts = np.maximum(words - shingle_size + 1, 1)
     first_shingle = np.cumsum(counts) - counts
-    first_word = np.cumsum(lengths) - lengths
     rows = np.repeat(np.arange(len(texts)), counts)
-    starts = np.arange(int(counts.sum())) - first_shingle[rows] + first_word[rows]
-    widths = np.minimum(lengths, shingle_size)[rows]
-    words = list(chain.from_iterable(word_lists))
+    shingle_starts = np.arange(int(counts.sum())) - first_shingle[rows] + first_word[rows]
+    widths = np.minimum(words, shingle_size)[rows]
+    word_hashes = _word_hashes(data, starts, ends)
     return _sketch(
-        _word_hashes(words), starts, widths, rows, len(texts), perm_seed, num_perm
+        word_hashes, shingle_starts, widths, rows, len(texts), perm_seed, num_perm
     )
 
 
@@ -275,19 +313,29 @@ def signature(
 ) -> Signature:
     """One-permutation MinHash signature of a shingle set.
 
-    Each shingle is split into words and hashed like a row of
-    :func:`signature_matrix`.  Raises ``ValueError`` on an empty shingle
-    set (the document was empty after normalization; callers should drop
-    it).
+    The shingles are joined and hashed like the texts of
+    :func:`signature_matrix`, each shingle being one span of words; the
+    empty shingle has no words and hashes as the empty polynomial.
+    Raises ``ValueError`` on an empty shingle set (the document was empty
+    after normalization; callers should drop it).
     """
-    word_lists = list(map(str.split, set(shingle_set)))
-    if not word_lists:
+    grams = list(set(shingle_set))
+    if not grams:
         raise ValueError("cannot fingerprint an empty shingle set")
-    widths = np.fromiter(map(len, word_lists), dtype=np.int64, count=len(word_lists))
-    starts = np.cumsum(widths) - widths
-    words = list(chain.from_iterable(word_lists))
-    rows = np.zeros(len(word_lists), dtype=np.int64)
-    matrix = _sketch(_word_hashes(words), starts, widths, rows, 1, perm_seed, num_perm)
+    data, starts, ends, _ = _encode(grams)
+    if not _single_spaced(grams, data, starts, ends):
+        grams = [" ".join(gram.split()) for gram in grams]
+        data, starts, ends, _ = _encode([gram for gram in grams if gram])
+    widths = np.fromiter(
+        (gram.count(" ") + 1 if gram else 0 for gram in grams),
+        dtype=np.int64,
+        count=len(grams),
+    )
+    rows = np.zeros(len(grams), dtype=np.int64)
+    word_hashes = _word_hashes(data, starts, ends)
+    matrix = _sketch(
+        word_hashes, np.cumsum(widths) - widths, widths, rows, 1, perm_seed, num_perm
+    )
     return Signature(values=matrix[0], perm_seed=perm_seed)
 
 
@@ -317,20 +365,32 @@ class LshConfig:
             raise ValueError("bands and rows must be >= 1")
 
 
-def lsh_keys(sig: Signature, config: LshConfig = LshConfig()) -> list[bytes]:
-    """One stable bucket key per band.
+def band_keys(matrix: np.ndarray, config: LshConfig = LshConfig()) -> np.ndarray:
+    """Bucket key of every (signature row, band): an N x ``bands`` uint64 matrix.
 
-    Key i hashes components [i*rows, (i+1)*rows) together with the band
-    index, so equal sub-bands collide and distinct bands never do.
+    Key (i, j) is splitmix64 of the polynomial over the ``rows``
+    components of band j, so equal sub-bands collide and unequal ones
+    almost never do.  Buckets are compared within one band column.
     """
-    if config.bands * config.rows != len(sig):
+    if config.bands * config.rows != matrix.shape[1]:
         raise ValueError(
             f"bands*rows = {config.bands * config.rows} does not divide "
-            f"signature of length {len(sig)}"
+            f"signature of length {matrix.shape[1]}"
         )
-    keys = []
-    for band in range(config.bands):
-        chunk = sig.values[band * config.rows : (band + 1) * config.rows]
-        payload = band.to_bytes(4, "little") + chunk.tobytes()
-        keys.append(hashlib.blake2b(payload, digest_size=16).digest())
-    return keys
+    bands = matrix.reshape(matrix.shape[0], config.bands, config.rows)
+    acc = np.zeros(bands.shape[:2], dtype=np.uint64)
+    for component in range(config.rows):
+        acc = acc * np.uint64(_POLY_BASE) + bands[:, :, component]
+    return _splitmix64(acc)
+
+
+def lsh_keys(sig: Signature, config: LshConfig = LshConfig()) -> list[bytes]:
+    """One stable bucket key per band: the band index, then its :func:`band_keys` key.
+
+    Equal sub-bands collide and distinct bands never do.
+    """
+    keys = band_keys(sig.values[np.newaxis, :], config)[0].tolist()
+    return [
+        band.to_bytes(4, "little") + key.to_bytes(8, "little")
+        for band, key in enumerate(keys)
+    ]

@@ -1,9 +1,10 @@
 """End-to-end near-deduplication over a document collection.
 
-Fingerprints documents in batches of about :data:`BATCH_WORDS` words (one
-signature-matrix call per batch), buckets signatures by LSH band keys,
-turns co-bucketed documents into candidate pairs, confirms and clusters
-them, then keeps one representative per cluster.  The representative's
+Fingerprints documents in batches of about :data:`BATCH_WORDS` words into
+the rows of one signature matrix, hashes every (row, band) into a bucket
+key, sorts each band's key column into buckets, confirms co-bucketed rows
+on the matrix and unions them, then keeps one representative per cluster.
+No per-document object is built on the way.  The representative's
 ``dup_count`` is set to its cluster size so that downstream mix weighting
 can bucket it.
 
@@ -15,28 +16,39 @@ candidates), and signatures are deterministic.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from itertools import combinations
 from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
 from corpusops.corpus import Document
-from corpusops.dedup.cluster import ClusterRecord, choose_representative, cluster
 from corpusops.dedup.minhash import (
     DEFAULT_NUM_PERMUTATIONS,
-    DEFAULT_SHINGLE_SIZE,
     LshConfig,
     Signature,
-    lsh_keys,
-    normalize,
+    band_keys,
     signature_matrix,
 )
+from corpusops.dedup.text import DEFAULT_SHINGLE_SIZE, normalize
+from corpusops.dedup.unionfind import (
+    ClusterRecord,
+    UnionFind,
+    check_threshold,
+    choose_representative,
+    cluster_records,
+    link,
+)
 
-__all__ = ["NearDupConfig", "near_dedup"]
+__all__ = ["NearDupConfig", "NearDupStats", "near_dedup"]
 
 #: Words fingerprinted per signature-matrix call.  Large enough to amortize
-#: numpy's per-call cost, small enough that the batch's word hashes and
-#: shingle arrays stay a few MB beside the documents themselves.
-BATCH_WORDS = 1 << 14
+#: numpy's per-call cost, small enough that the batch's byte, word and
+#: shingle arrays stay under a MB beside the documents themselves.  On the
+#: benchmark's ``web-dedup`` input (1,159 documents, 2.6 MB of normalized
+#: text), ``dedup-near`` peaked at 35.2, 35.3, 35.2, 35.9 and 37.4 MB of RSS
+#: with 1<<10 ... 1<<14 words per batch (2-core x86 host); 1<<10 ran about
+#: 10% slower, the others at the same speed.
+BATCH_WORDS = 1 << 12
 
 
 @dataclass(frozen=True)
@@ -60,21 +72,78 @@ class NearDupConfig:
         return LshConfig(bands=self.bands, rows=self.rows)
 
 
+@dataclass
+class NearDupStats:
+    """Counters of one :func:`near_dedup` run."""
+
+    largest_bucket: int = 0  # most documents sharing one band key
+    confirmations: int = 0  # candidate pairs compared on their signatures
+
+
+def _buckets(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Rows sharing a key: (their rows, bucket sizes), over buckets of two or more.
+
+    Each bucket's rows are contiguous and ascending.
+    """
+    order = np.argsort(keys, kind="stable")
+    ranked = keys[order]
+    starts = np.flatnonzero(np.concatenate(([True], ranked[1:] != ranked[:-1])))
+    sizes = np.diff(starts, append=keys.size)
+    shared = sizes >= 2
+    return order[np.repeat(shared, sizes)], sizes[shared]
+
+
 def candidate_pairs_from_buckets(
     signatures: Mapping[str, Signature], config: NearDupConfig
 ) -> set[tuple[str, str]]:
-    """All unordered id pairs sharing at least one LSH band bucket."""
-    buckets: dict[bytes, list[str]] = {}
-    for doc_id in sorted(signatures):
-        for key in lsh_keys(signatures[doc_id], config.lsh):
-            buckets.setdefault(key, []).append(doc_id)
+    """All unordered id pairs sharing at least one LSH band bucket.
 
+    Each pair is ordered (smaller id, larger id).  Buckets come from
+    :func:`~corpusops.dedup.minhash.band_keys`, as in :func:`near_dedup`.
+    """
+    ids = sorted(signatures)
+    if not ids:
+        return set()
+    keys = band_keys(np.stack([signatures[doc_id].values for doc_id in ids]), config.lsh)
     pairs: set[tuple[str, str]] = set()
-    for members in buckets.values():
-        for i in range(len(members)):
-            for j in range(i + 1, len(members)):
-                pairs.add((members[i], members[j]))
+    for column in keys.T:
+        rows, sizes = _buckets(column)
+        for bucket in np.split(rows, np.cumsum(sizes)[:-1]):
+            pairs.update(combinations([ids[row] for row in bucket.tolist()], 2))
     return pairs
+
+
+def _link_buckets(
+    forest: UnionFind,
+    matrix: np.ndarray,
+    keys: np.ndarray,
+    confirm_threshold: float,
+    stats: NearDupStats,
+) -> None:
+    """Confirm and union the rows that share a key in one band column.
+
+    Round by round, each bucket's first row is compared with the rest
+    and then dropped, so every pair in a bucket is compared unless its
+    rows already share a set; a bucket whose rows all share one set
+    retires.  N identical documents take N - 1 comparisons.
+    """
+    rows, sizes = _buckets(keys)
+    stats.largest_bucket = max(stats.largest_bucket, int(sizes.max(initial=0)))
+    while rows.size:
+        starts = np.cumsum(sizes) - sizes
+        roots = forest.roots()[rows]
+        apart = np.minimum.reduceat(roots, starts) != np.maximum.reduceat(roots, starts)
+        rows, sizes = rows[np.repeat(apart, sizes)], sizes[apart]
+        if not rows.size:
+            break
+        starts = np.cumsum(sizes) - sizes
+        rest = np.ones(rows.size, dtype=bool)
+        rest[starts] = False
+        pivots = np.repeat(rows[starts], sizes)[rest]
+        rows, sizes = rows[rest], sizes - 1
+        stats.confirmations += link(forest, matrix, pivots, rows, confirm_threshold)
+        shared = sizes >= 2
+        rows, sizes = rows[np.repeat(shared, sizes)], sizes[shared]
 
 
 def _batches(documents: Iterable[Document]) -> Iterator[tuple[list[str], list[str]]]:
@@ -98,12 +167,12 @@ def _batches(documents: Iterable[Document]) -> Iterator[tuple[list[str], list[st
 
 def fingerprint(
     documents: Sequence[Document], config: NearDupConfig
-) -> dict[str, Signature]:
-    """Signatures of all documents with at least one word after normalization.
+) -> tuple[list[str], np.ndarray]:
+    """Ids and signature rows of the documents with words after normalization.
 
-    Documents are sketched in batches of about :data:`BATCH_WORDS` words;
-    the rows of one ``len(documents) x num_perm`` matrix back the returned
-    signatures, and batch boundaries do not change any value.
+    Documents are sketched in batches of about :data:`BATCH_WORDS` words
+    into one ``len(ids) x num_perm`` matrix; batch boundaries do not
+    change any value.
     """
     matrix = np.empty((len(documents), config.num_perm), dtype=np.uint64)
     ids: list[str] = []
@@ -112,30 +181,34 @@ def fingerprint(
             texts, config.perm_seed, config.num_perm, config.shingle_size
         )
         ids += batch_ids
-    return {
-        doc_id: Signature(values=row, perm_seed=config.perm_seed)
-        for doc_id, row in zip(ids, matrix)
-    }
+    return ids, matrix[: len(ids)]
 
 
 def near_dedup(
-    documents: Iterable[Document], config: NearDupConfig = NearDupConfig()
+    documents: Iterable[Document],
+    config: NearDupConfig = NearDupConfig(),
+    stats: NearDupStats | None = None,
 ) -> tuple[list[Document], list[ClusterRecord]]:
     """Drop near-duplicates, keeping one representative per cluster.
 
     Returns (kept documents in input order, cluster records).  Documents
     that are empty after normalization cannot be fingerprinted and pass
     through untouched.  Kept cluster representatives carry
-    ``dup_count = cluster size``.
+    ``dup_count = cluster size``.  ``stats``, when given, receives the
+    bucket and confirmation counters.
     """
+    check_threshold(config.confirm_threshold)
     docs = list(documents)
     by_id = {doc.id: doc for doc in docs}
     if len(by_id) != len(docs):
         raise ValueError("document ids must be unique within one dedup run")
 
-    signatures = fingerprint(docs, config)
-    pairs = candidate_pairs_from_buckets(signatures, config)
-    clusters = cluster(pairs, signatures, config.confirm_threshold)
+    stats = NearDupStats() if stats is None else stats
+    ids, matrix = fingerprint(docs, config)
+    forest = UnionFind(len(ids))
+    for keys in band_keys(matrix, config.lsh).T:
+        _link_buckets(forest, matrix, keys, config.confirm_threshold, stats)
+    clusters = cluster_records(forest, ids)
 
     final_clusters = []
     drop: set[str] = set()

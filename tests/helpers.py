@@ -7,12 +7,10 @@ production implementations without sharing their code paths.
 
 from __future__ import annotations
 
-import hashlib
 import itertools
 import math
 import random
 
-import numpy as np
 
 # ---------------------------------------------------------------------------
 # Jaccard / shingle-set generators
@@ -46,28 +44,42 @@ def shingle_pair_with_jaccard(rng: random.Random, target_j: float, union_size: i
 
 
 MASK64 = (1 << 64) - 1
+GOLDEN = 0x9E3779B97F4A7C15
 
 
 def _reference_splitmix64(x: int) -> int:
-    x = (x + 0x9E3779B97F4A7C15) & MASK64
+    x = (x + GOLDEN) & MASK64
     x = ((x ^ (x >> 30)) * 0xBF58476D1CE4E5B9) & MASK64
     x = ((x ^ (x >> 27)) * 0x94D049BB133111EB) & MASK64
     return x ^ (x >> 31)
 
 
+def _reference_polynomial(coefficients, base: int) -> int:
+    """sum_j c_j * base**j mod 2**64, one term at a time."""
+    total, power = 0, 1
+    for c in coefficients:
+        total = (total + c * power) & MASK64
+        power = (power * base) & MASK64
+    return total
+
+
 def reference_oph_signature(shingle_set, perm_seed: int, num_perm: int = 128) -> list[int]:
-    """Word blake2b -> polynomial -> keyed splitmix64 -> bins -> densify."""
-    base, probes = 0xFF51AFD7ED558CCD, 32
-    shingle_key, probe_key = (
-        int(k) for k in np.random.default_rng(perm_seed).integers(0, 2**64, size=2, dtype=np.uint64)
-    )
+    """Byte polynomial per word -> length mix -> shingle polynomial -> keyed
+    splitmix64 -> bins -> densify, with seed keys from splitmix64."""
+    base, length_key, probes = 0xFF51AFD7ED558CCD, 0xC2B2AE3D27D4EB4F, 32
+    seed = perm_seed
+    while seed > MASK64:
+        seed = (seed >> 64) ^ _reference_splitmix64(seed & MASK64)
+    shingle_key = _reference_splitmix64(seed)
+    probe_key = _reference_splitmix64((seed + GOLDEN) & MASK64)
     bins: list[int | None] = [None] * num_perm
     for shingle in set(shingle_set):
-        poly = 0
+        word_hashes = []
         for word in shingle.split():
-            digest = hashlib.blake2b(word.encode("utf-8"), digest_size=8).digest()
-            poly = (poly * base + int.from_bytes(digest, "little")) & MASK64
-        h = _reference_splitmix64(poly ^ shingle_key)
+            data = word.encode("utf-8")
+            raw = _reference_polynomial(data, base)
+            word_hashes.append(_reference_splitmix64((raw + len(data) * length_key) & MASK64))
+        h = _reference_splitmix64(_reference_polynomial(word_hashes, base) ^ shingle_key)
         b = h % num_perm
         if bins[b] is None or h < bins[b]:
             bins[b] = h

@@ -91,6 +91,36 @@ class TestDedupNearCli:
         report = [json.loads(l) for l in clusters_path.read_text().splitlines()]
         assert report == [{"representative": "a", "members": ["a", "b"], "size": 2}]
 
+    def test_stats_line_counts_buckets_and_confirmations(self, monkeypatch, capsys):
+        text = " ".join(f"tok{i}" for i in range(60))
+        stdin = records(
+            *({"id": f"d{i}", "text": text} for i in range(4)),
+            {"id": "x", "text": " ".join(f"zzz{i}" for i in range(60))},
+            {"id": "empty", "text": "?!"},
+        )
+        code, out, err = run_cli(["dedup-near"], stdin, monkeypatch, capsys)
+        assert code == 0
+        assert [d["id"] for d in parse_lines(out)] == ["d0", "x", "empty"]
+        assert json.loads(err.splitlines()[-1]) == {
+            "documents": 6, "kept": 3, "clusters": 1,
+            "largest_bucket": 4, "confirmations": 3,
+        }
+
+    def test_negative_seed_exits_2(self, monkeypatch, capsys):
+        stdin = records({"id": "a", "text": "hello world"})
+        code, out, err = run_cli(["dedup-near", "--seed", "-1"], stdin, monkeypatch, capsys)
+        assert code == 2
+        assert err.strip() == "error: expected non-negative integer"
+
+    def test_seed_past_64_bits_is_accepted(self, monkeypatch, capsys):
+        text = " ".join(f"tok{i}" for i in range(30))
+        stdin = records({"id": "a", "text": text}, {"id": "b", "text": text})
+        code, out, err = run_cli(
+            ["dedup-near", "--seed", str(2**64 + 1)], stdin, monkeypatch, capsys
+        )
+        assert code == 0
+        assert [d["id"] for d in parse_lines(out)] == ["a"]
+
 
 class TestMixCli:
     def test_manifest_records_and_quota(self, tmp_path, monkeypatch, capsys):
@@ -454,7 +484,7 @@ def test_module_entry_point_subprocess():
 
 
 class TestImportsPerCommand:
-    """Commands other than the dedup ones run without numpy or urllib."""
+    """Commands other than dedup-near run without numpy or urllib."""
 
     SRC = str(pathlib.Path(corpusops.__file__).resolve().parent.parent)
     BLOCKED_RUN = (
@@ -495,6 +525,7 @@ class TestImportsPerCommand:
              "--wd", "0.1", "--schedule", "cosine_to_floor,1e-3,1e-5,10,100"],
             ["evalstats", "passk", "--n", "4", "--c", "2", "--k", "2"],
             ["evalstats", "mem", "--pairs", "{pairs}"],
+            ["dedup-exact", "--capacity", "10", "-i", "{docs}"],
         ],
         ids=lambda argv: " ".join(a for a in argv[:2] if not a.startswith("-")),
     )
@@ -517,3 +548,20 @@ class TestImportsPerCommand:
         proc = self.run_python(self.BLOCKED_RUN, *(a.format(**paths) for a in argv))
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip()
+
+    def test_dedup_near_loads_neither_numpy_random_nor_numpy_ma(self, tmp_path):
+        docs = tmp_path / "docs.jsonl"
+        docs.write_text(records(
+            {"id": "a", "text": "one two three"}, {"id": "b", "text": "One, two three!"}
+        ))
+        proc = self.run_python(
+            "import sys\n"
+            "from corpusops.cli import main\n"
+            "code = main(sys.argv[1:])\n"
+            "print(sorted({'numpy', 'numpy.random', 'numpy.ma'} & set(sys.modules)))\n"
+            "sys.exit(code)\n",
+            "dedup-near", "-i", str(docs), "-o", str(tmp_path / "out.jsonl"),
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "['numpy']"
+        assert '"clusters": 1' in proc.stderr

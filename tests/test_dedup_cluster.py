@@ -1,5 +1,6 @@
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -8,6 +9,8 @@ from corpusops.corpus import Document, SourceClass
 from corpusops.dedup import (
     ClusterRecord,
     NearDupConfig,
+    NearDupStats,
+    UnionFind,
     choose_representative,
     cluster,
     near_dedup,
@@ -15,7 +18,16 @@ from corpusops.dedup import (
     shingles,
     signature,
 )
-from helpers import exact_jaccard, planted_corpus, single_linkage_clusters
+from corpusops.dedup import pipeline, unionfind
+from corpusops.dedup.minhash import band_keys
+from corpusops.dedup.pipeline import candidate_pairs_from_buckets
+from helpers import (
+    exact_jaccard,
+    mutate_document,
+    planted_corpus,
+    random_words,
+    single_linkage_clusters,
+)
 
 
 def sigs_for(texts, perm_seed=0):
@@ -87,6 +99,33 @@ class TestCluster:
                 for r in cluster(all_pairs, signatures, 0.8)
             }
             assert got == expected
+
+
+    def test_signatures_from_different_seeds_rejected(self):
+        signatures = {"a": signature(["x y"], 0), "b": signature(["x y"], 1)}
+        with pytest.raises(ValueError):
+            cluster([("a", "b")], signatures, 0.8)
+
+
+class TestUnionFind:
+    @given(st.integers(1, 40), st.lists(st.tuples(st.integers(0, 39), st.integers(0, 39)), max_size=60))
+    @settings(max_examples=100, deadline=None)
+    def test_sets_are_connected_components(self, size, edges):
+        edges = [(a % size, b % size) for a, b in edges]
+        forest = UnionFind(size)
+        half = len(edges) // 2
+        for chunk in (edges[:half], edges[half:]):
+            forest.union(np.array([a for a, _ in chunk], dtype=np.int64),
+                         np.array([b for _, b in chunk], dtype=np.int64))
+        expected = single_linkage_clusters(
+            range(size), lambda x, y: (x, y) in edges or (y, x) in edges, 0.5
+        )
+        roots = forest.roots()
+        got: dict[int, set[int]] = {}
+        for row in range(size):
+            got.setdefault(int(roots[row]), set()).add(row)
+        assert {frozenset(g) for g in got.values() if len(g) > 1} == expected
+        assert all(root == min(group) for root, group in got.items())
 
 
 class TestClusterRecord:
@@ -169,3 +208,87 @@ class TestNearDedupPipeline:
         docs = [Document(id="a", text="x"), Document(id="a", text="y")]
         with pytest.raises(ValueError):
             near_dedup(docs)
+
+    def test_staged_pipeline_equals_near_dedup(self):
+        rng = random.Random(41)
+        texts = planted_corpus(rng, n_groups=6, group_size=4, n_singletons=30)
+        docs = [Document(id=i, text=t) for i, t in sorted(texts.items())]
+        config = NearDupConfig(perm_seed=3)
+        signatures = sigs_for(texts, perm_seed=3)
+        pairs = candidate_pairs_from_buckets(signatures, config)
+        assert all(a < b for a, b in pairs)
+        staged = cluster(pairs, signatures, config.confirm_threshold)
+        _, whole = near_dedup(docs, config)
+        assert [r.members for r in staged] == [r.members for r in whole]
+
+    def test_link_skips_pairs_already_joined(self):
+        matrix = np.zeros((4, 8), dtype=np.uint64)
+        forest = UnionFind(4)
+        forest.union(np.array([0]), np.array([1]))
+        compared = unionfind.link(forest, matrix, np.array([0, 1, 2]), np.array([1, 0, 3]), 0.8)
+        assert compared == 1
+        assert forest.roots().tolist() == [0, 0, 2, 2]
+
+    @pytest.mark.parametrize("n", [2, 50, 2000])
+    def test_identical_documents_take_one_confirmation_each(self, n):
+        text = " ".join(f"w{i}" for i in range(40))
+        docs = [Document(id=f"d{i:04d}", text=text) for i in range(n)]
+        stats = NearDupStats()
+        kept, clusters = near_dedup(docs, NearDupConfig(), stats)
+        assert [d.id for d in kept] == ["d0000"]
+        assert [c.size for c in clusters] == [n]
+        assert stats.largest_bucket == n
+        assert stats.confirmations == n - 1
+
+    def test_planted_cluster_confirmations_stay_linear(self):
+        rng = random.Random(2000)
+        base = random_words(rng, 300)
+        docs = [
+            Document(id=f"d{i:04d}", text=" ".join(mutate_document(rng, base)))
+            for i in range(2000)
+        ]
+        stats = NearDupStats()
+        kept, clusters = near_dedup(docs, NearDupConfig(), stats)
+        assert [c.size for c in clusters] == [2000] and len(kept) == 1
+        assert stats.confirmations <= 16 * 2000
+
+    @given(
+        st.lists(
+            st.tuples(
+                st.integers(0, 2),
+                st.lists(st.tuples(st.integers(0, 15), st.integers(0, 3)), max_size=6),
+            ),
+            min_size=2,
+            max_size=14,
+        ),
+        st.sampled_from([0.5, 0.8, 0.9]),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_bucket_rounds_join_what_all_pairs_would(self, edits, threshold):
+        # Rows are edited copies of three base rows, so buckets hold several
+        # rows, some of them too far apart to confirm.  Oracle: every pair
+        # sharing a whole band is confirmed on its own.
+        rows = []
+        for base, changes in edits:
+            row = [(base * 7 + i * 3) % 5 for i in range(16)]
+            for position, value in changes:
+                row[position] = value
+            rows.append(row)
+        matrix = np.array(rows, dtype=np.uint64)
+        config = NearDupConfig(num_perm=16, bands=4, rows=4, confirm_threshold=threshold)
+
+        def joined(x, y):
+            shares_band = any(rows[x][b:b + 4] == rows[y][b:b + 4] for b in range(0, 16, 4))
+            agreement = sum(u == v for u, v in zip(rows[x], rows[y])) / 16
+            return shares_band and agreement >= threshold
+
+        expected = single_linkage_clusters(range(len(rows)), lambda x, y: joined(x, y), 0.5)
+        forest = UnionFind(len(rows))
+        stats = NearDupStats()
+        for keys in band_keys(matrix, config.lsh).T:
+            pipeline._link_buckets(forest, matrix, keys, threshold, stats)
+        got: dict[int, set[int]] = {}
+        for row, root in enumerate(forest.roots().tolist()):
+            got.setdefault(root, set()).add(row)
+        assert {frozenset(g) for g in got.values() if len(g) > 1} == expected
+        assert stats.confirmations <= 4 * len(rows) * (len(rows) - 1) // 2

@@ -21,7 +21,7 @@ from corpusops.dedup import (
     signature,
     signature_matrix,
 )
-from corpusops.dedup import pipeline
+from corpusops.dedup import minhash, pipeline
 from helpers import (
     exact_jaccard,
     fresh_token,
@@ -207,6 +207,72 @@ class TestLshKeys:
         with pytest.raises(ValueError):
             lsh_keys(sig, LshConfig(bands=16, rows=8))
 
+    def test_keys_are_band_index_then_matrix_band_key(self):
+        texts = [" ".join(f"w{i}" for i in range(k, k + 30)) for k in (0, 1, 50)]
+        matrix = signature_matrix(texts, perm_seed=6)
+        keys = minhash.band_keys(matrix, LshConfig())
+        assert keys.shape == (3, 16)
+        for row, text in zip(keys, texts):
+            expected = [
+                band.to_bytes(4, "little") + int(key).to_bytes(8, "little")
+                for band, key in enumerate(row)
+            ]
+            assert lsh_keys(signature(shingles(text), 6)) == expected
+
+
+class TestSeeds:
+    @pytest.mark.parametrize("seed", [-1, -(2**64)])
+    def test_negative_seed_is_error(self, seed):
+        with pytest.raises(ValueError, match="expected non-negative integer"):
+            signature(["a b"], perm_seed=seed)
+        with pytest.raises(ValueError, match="expected non-negative integer"):
+            signature_matrix(["a b"], perm_seed=seed)
+
+    def test_seeds_past_64_bits_are_accepted_and_distinct(self):
+        grams = [f"g{i} h{i}" for i in range(60)]
+        seeds = [0, 1, 2**64 - 1, 2**64, 2**64 + 1, 2**70 + 5, 2**128]
+        values = []
+        for seed in seeds:
+            got = signature(grams, seed).values.tolist()
+            assert got == reference_oph_signature(grams, seed)
+            values.append(tuple(got))
+        assert len(set(values)) == len(seeds)
+
+
+# Words and every kind of separator str.split() knows, in any order: texts
+# with leading, trailing and repeated whitespace, and texts without words.
+_separators = st.sampled_from([" ", "\t", "\n", "\r", "\xa0", "\u3000", "\x1c"])
+_raw_texts = st.lists(
+    st.one_of(st.text(alphabet="abcé已", min_size=1, max_size=4), _separators), max_size=40
+).map("".join)
+
+
+class TestWhitespaceContract:
+    @given(st.lists(_raw_texts, min_size=1, max_size=5), st.integers(0, 2**32))
+    @settings(max_examples=150, deadline=None)
+    def test_raw_whitespace_splits_like_str_split(self, texts, seed):
+        try:
+            matrix = signature_matrix(texts, perm_seed=seed, shingle_size=3)
+        except ValueError:
+            assert any(not text.split() for text in texts)
+            return
+        assert all(text.split() for text in texts)
+        for row, text in zip(matrix, texts):
+            assert np.array_equal(row, signature(shingles(text, 3), seed).values)
+
+    def test_separator_table_is_str_split(self):
+        chars = [chr(c) for c in range(0x110000)]
+        matched = {c for c in chars if minhash._OTHER_SPACE.match(c)}
+        assert matched == {c for c in chars if c.isspace()} - {" "}
+
+    def test_text_without_words_is_error(self):
+        for texts in (["a b", ""], ["  "], ["\t\n", "x"]):
+            with pytest.raises(ValueError, match="without words"):
+                signature_matrix(texts, perm_seed=0)
+
+    def test_no_texts_give_an_empty_matrix(self):
+        assert signature_matrix([], perm_seed=0).shape == (0, 128)
+
 
 # Words with capitals, punctuation and non-ASCII letters, joined by mixed
 # whitespace: exercises normalize, short documents and 13-gram windows.
@@ -238,7 +304,8 @@ class TestSignatureMatrix:
         assert got == reference_oph_signature(grams, seed, num_perm)
 
     def test_matches_loop_reference_on_mixed_shingles(self):
-        grams = ["", "one", "two words", "x y z", "two words"] + [f"g{i}" for i in range(300)]
+        grams = ["", "one", "two words", "x y z", "two words", " two\t words\u3000"]
+        grams += [f"g{i}" for i in range(300)]
         assert signature(grams, 5).values.tolist() == reference_oph_signature(grams, 5)
 
     @pytest.mark.parametrize("n_words", [1, 12, 13])
@@ -303,15 +370,15 @@ class TestSignatureMatrix:
         config = NearDupConfig(perm_seed=4)
         default_budget = pipeline.BATCH_WORDS
         monkeypatch.setattr(pipeline, "BATCH_WORDS", 10**9)
-        reference = pipeline.fingerprint(docs, config)
-        assert len(reference) == sum(1 for d in docs if d.text)
-        for doc in docs[:10]:
-            if doc.text:
-                single = signature(shingles(normalize(doc.text)), config.perm_seed)
-                assert reference[doc.id] == single
+        ids, reference = pipeline.fingerprint(docs, config)
+        assert ids == [d.id for d in docs if d.text]
+        assert reference.shape == (len(ids), 128)
+        by_id = {d.id: d for d in docs}
+        for doc_id, row in zip(ids[:10], reference):
+            single = signature(shingles(normalize(by_id[doc_id].text)), config.perm_seed)
+            assert np.array_equal(single.values, row)
         for batch_words in (1, 50, 333, default_budget):
             monkeypatch.setattr(pipeline, "BATCH_WORDS", batch_words)
-            batched = pipeline.fingerprint(docs, config)
-            assert list(batched) == list(reference)
-            for doc_id, sig in reference.items():
-                assert batched[doc_id] == sig
+            batched_ids, batched = pipeline.fingerprint(docs, config)
+            assert batched_ids == ids
+            assert np.array_equal(batched, reference)
