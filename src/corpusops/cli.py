@@ -22,9 +22,9 @@ import json
 import os
 import random
 import sys
-from contextlib import contextmanager
-from dataclasses import replace
-from typing import IO, Iterator
+from contextlib import contextmanager, nullcontext
+from dataclasses import asdict, replace
+from typing import IO, Any, Callable, Iterator
 
 from corpusops import __version__
 from corpusops.corpus import (
@@ -69,6 +69,28 @@ def _emit(obj: dict, stream: IO[str]) -> None:
     stream.write("\n")
 
 
+def _row_parser(
+    build: Callable[[Any], Any],
+    needs: str,
+    load: Callable[[str, int], Any] | None = None,
+) -> Callable[[str, int], Any]:
+    """A :func:`read_rows` parse function: ``build`` over each loaded line.
+
+    Lines load as JSON unless ``load`` is given.  A missing key, a wrong
+    shape or an infinite number in ``build`` becomes a ``ValueError``
+    naming what the record needs.
+    """
+
+    def parse(line: str, line_number: int) -> Any:
+        row = json.loads(line) if load is None else load(line, line_number)
+        try:
+            return build(row)
+        except (KeyError, TypeError, OverflowError) as exc:
+            raise ValueError(f"record needs {needs} ({exc!r})") from None
+
+    return parse
+
+
 # ---------------------------------------------------------------------------
 # dedup
 
@@ -90,12 +112,7 @@ def cmd_dedup_exact(args: argparse.Namespace) -> int:
             f"(see live_fpr)",
             file=sys.stderr,
         )
-    print(
-        json.dumps(
-            {"seen": stats.seen, "dropped": stats.dropped, "live_fpr": stats.live_fpr}
-        ),
-        file=sys.stderr,
-    )
+    _emit(asdict(stats), sys.stderr)  # seen, dropped, live_fpr
     return 0
 
 
@@ -115,34 +132,19 @@ def cmd_dedup_near(args: argparse.Namespace) -> int:
     kept, clusters = near_dedup(docs, config, stats)
     with _open_out(args.output) as dst:
         write_records(kept, dst)
-    cluster_sink = _open_out(args.clusters) if args.clusters else None
-    report_rows = (
-        {
-            "representative": record.representative,
-            "members": list(record.members),
-            "size": record.size,
-        }
-        for record in clusters
-    )
-    if cluster_sink:
-        with cluster_sink as dst:
-            for row in report_rows:
-                _emit(row, dst)
-    else:
-        for row in report_rows:
-            print(json.dumps(row), file=sys.stderr)
-    print(
-        json.dumps(
-            {
-                "documents": len(docs),
-                "kept": len(kept),
-                "clusters": len(clusters),
-                "largest_bucket": stats.largest_bucket,
-                "confirmations": stats.confirmations,
-            }
-        ),
-        file=sys.stderr,
-    )
+    sink = _open_out(args.clusters) if args.clusters else nullcontext(sys.stderr)
+    with sink as dst:
+        for record in clusters:
+            _emit(
+                {
+                    "representative": record.representative,
+                    "members": list(record.members),
+                    "size": record.size,
+                },
+                dst,
+            )
+    counts = {"documents": len(docs), "kept": len(kept), "clusters": len(clusters)}
+    _emit({**counts, **asdict(stats)}, sys.stderr)  # largest_bucket, confirmations
     return 0
 
 
@@ -153,20 +155,15 @@ def cmd_dedup_near(args: argparse.Namespace) -> int:
 def cmd_mix(args: argparse.Namespace) -> int:
     from corpusops.mix import DupBucket, GroupStat, build_manifest, sample_plan
 
-    def parse(line: str, line_number: int) -> GroupStat:
-        row = json.loads(line)
-        try:
-            return GroupStat(
-                group=row["group"],
-                tokens=int(row["tokens"]),
-                bucket=DupBucket(row["bucket"]),
-                source_class=SourceClass(row.get("source_class", "CommonCrawl")),
-            )
-        except (KeyError, TypeError, OverflowError) as exc:
-            raise ValueError(
-                f'record needs "group", integer "tokens" and "bucket" ({exc!r})'
-            ) from None
-
+    parse = _row_parser(
+        lambda row: GroupStat(
+            group=row["group"],
+            tokens=int(row["tokens"]),
+            bucket=DupBucket(row["bucket"]),
+            source_class=SourceClass(row.get("source_class", "CommonCrawl")),
+        ),
+        '"group", integer "tokens" and "bucket"',
+    )
     with _open_in(args.stats) as src:
         stats = list(read_rows(src, parse, on_error=_report_bad_line))
     manifest = build_manifest(stats)
@@ -205,29 +202,18 @@ def cmd_mix(args: argparse.Namespace) -> int:
 # transforms
 
 
-def cmd_transform(args: argparse.Namespace) -> int:
-    if args.mode == "fim":
-        return _transform_fim(args)
-    if args.mode == "topo":
-        return _transform_topo(args)
-    return _transform_qa(args)
-
-
-def _transform_fim(args: argparse.Namespace) -> int:
+def cmd_transform_fim(args: argparse.Namespace) -> int:
     from corpusops.transforms import FimConfig, fim_transform
 
     config = FimConfig(rng_seed=args.seed, mode_psm_probability=args.psm_probability)
     rng = random.Random(args.seed)
-    skipped = 0
 
     def transformed() -> Iterator[Document]:
-        nonlocal skipped
         with _open_in(args.input) as src:
             for doc in read_records(src, on_error=_report_bad_line):
                 try:
                     text = fim_transform(doc.text, config, rng)
                 except ValueError as exc:
-                    skipped += 1
                     print(f"skipping {doc.id}: {exc}", file=sys.stderr)
                     continue
                 yield replace(doc, text=text)
@@ -237,43 +223,43 @@ def _transform_fim(args: argparse.Namespace) -> int:
     return 0
 
 
-def _transform_topo(args: argparse.Namespace) -> int:
+def cmd_transform_topo(args: argparse.Namespace) -> int:
     from corpusops.transforms import RepoFile, build_dep_graph, concat_repo, topo_order
 
     # Input rows: {"repo": name, "files": [{"path":..., "text":...}, ...]}
-    def parse(line: str, line_number: int) -> dict:
-        row = json.loads(line)
-        try:
-            files = [RepoFile(f["path"], f["text"]) for f in row["files"]]
-            repo = row.get("repo", "repo")
-        except (KeyError, TypeError) as exc:
-            raise ValueError(
-                f'record needs "files" of {{"path", "text"}} objects ({exc!r})'
-            ) from None
+    def concat(row: dict) -> dict:
+        files = [RepoFile(f["path"], f["text"]) for f in row["files"]]
         order = topo_order(build_dep_graph(files), [f.path for f in files])
         by_path = {f.path: f for f in files}
-        return {"id": repo, "text": concat_repo([by_path[p] for p in order])}
+        return {
+            "id": row.get("repo", "repo"),
+            "text": concat_repo([by_path[p] for p in order]),
+        }
 
+    parse = _row_parser(concat, '"files" of {"path", "text"} objects')
     with _open_in(args.input) as src, _open_out(args.output) as dst:
         for row in read_rows(src, parse, on_error=_report_bad_line):
             _emit(row, dst)
     return 0
 
 
-def _transform_qa(args: argparse.Namespace) -> int:
+def cmd_transform_qa(args: argparse.Namespace) -> int:
     from corpusops.transforms import append_qa
 
     # QA pairs ride on the record under "qa": [{"q":..., "a":...}, ...]
+    def with_qa(doc: Document) -> Document:
+        pairs = [(p["q"], p["a"]) for p in doc.extra.get("qa", [])]
+        if not pairs:
+            return doc
+        return replace(
+            doc,
+            text=append_qa(doc.text, pairs),
+            extra={k: v for k, v in doc.extra.items() if k != "qa"},
+        )
+
+    parse = _row_parser(with_qa, '"qa" of {"q", "a"} objects', load=parse_record)
     with _open_in(args.input) as src, _open_out(args.output) as dst:
-        for doc in read_records(src, on_error=_report_bad_line):
-            pairs = [(p["q"], p["a"]) for p in doc.extra.get("qa", [])]
-            if pairs:
-                doc = replace(
-                    doc,
-                    text=append_qa(doc.text, pairs),
-                    extra={k: v for k, v in doc.extra.items() if k != "qa"},
-                )
-            write_records([doc], dst)
+        write_records(read_rows(src, parse, on_error=_report_bad_line), dst)
     return 0
 
 
@@ -356,15 +342,10 @@ def _parse_tier(name: str, value: str) -> DetectorTier:
 def cmd_monitor(args: argparse.Namespace) -> int:
     from corpusops.runwatch import MetricPoint, MonitorConfig, run_monitor
 
-    def parse(line: str, line_number: int) -> MetricPoint:
-        row = json.loads(line)
-        try:
-            return MetricPoint(step=int(row["step"]), value=float(row["loss"]))
-        except (KeyError, TypeError, OverflowError) as exc:
-            raise ValueError(
-                f'record needs numeric "step" and "loss" ({exc!r})'
-            ) from None
-
+    parse = _row_parser(
+        lambda row: MetricPoint(step=int(row["step"]), value=float(row["loss"])),
+        'numeric "step" and "loss"',
+    )
     config = MonitorConfig(
         alert=_parse_tier("alert", args.alert),
         restart=_parse_tier("restart", args.restart),
@@ -373,12 +354,9 @@ def cmd_monitor(args: argparse.Namespace) -> int:
         webhook=args.webhook or os.environ.get("CORPUSOPS_WEBHOOK"),
     )
 
-    def metrics() -> Iterator[MetricPoint]:
-        with _open_in(args.input) as src:
-            yield from read_rows(src, parse, on_error=_report_bad_line)
-
-    with _open_out(args.output) as dst:
-        for event in run_monitor(metrics(), config):
+    with _open_in(args.input) as src, _open_out(args.output) as dst:
+        metrics = read_rows(src, parse, on_error=_report_bad_line)
+        for event in run_monitor(metrics, config):
             _emit(event.to_json(), dst)
     return 0
 
@@ -449,23 +427,23 @@ def cmd_plan(args: argparse.Namespace) -> int:
 # evalstats
 
 
-def cmd_evalstats(args: argparse.Namespace) -> int:
-    from corpusops.evalstats import SentencePair, memorization_rate, pass_at_k
+def cmd_evalstats_passk(args: argparse.Namespace) -> int:
+    from corpusops.evalstats import pass_at_k
 
-    if args.metric == "passk":
-        print(f"{pass_at_k(args.n, args.c, args.k):.10g}")
-        return 0
+    print(f"{pass_at_k(args.n, args.c, args.k):.10g}")
+    return 0
 
-    def parse(line: str, line_number: int) -> SentencePair:
-        row = json.loads(line)
-        try:
-            reference, generated = row["reference"], row["generated"]
-        except (KeyError, TypeError) as exc:
-            raise ValueError(f'record needs "reference" and "generated" ({exc!r})') from None
+
+def cmd_evalstats_mem(args: argparse.Namespace) -> int:
+    from corpusops.evalstats import SentencePair, memorization_rate
+
+    def pair(row: dict) -> SentencePair:
+        reference, generated = row["reference"], row["generated"]
         if not (isinstance(reference, str) and isinstance(generated, str)):
             raise ValueError('"reference" and "generated" must be strings')
         return SentencePair(reference=reference, generated=generated)
 
+    parse = _row_parser(pair, '"reference" and "generated"')
     with _open_in(args.pairs) as src:
         pairs = list(read_rows(src, parse, on_error=_report_bad_line))
     print(f"{memorization_rate(pairs):.10g}")
@@ -520,13 +498,13 @@ def build_parser() -> argparse.ArgumentParser:
     fim.add_argument("--seed", type=int, default=0)
     fim.add_argument("--psm-probability", type=float, default=0.5)
     add_io(fim)
-    fim.set_defaults(func=cmd_transform)
+    fim.set_defaults(func=cmd_transform_fim)
     topo = mode.add_parser("topo", help="repository topological concatenation")
     add_io(topo)
-    topo.set_defaults(func=cmd_transform)
+    topo.set_defaults(func=cmd_transform_topo)
     qa = mode.add_parser("qa", help="append QA pairs to documents")
     add_io(qa)
-    qa.set_defaults(func=cmd_transform)
+    qa.set_defaults(func=cmd_transform_qa)
 
     p = sub.add_parser("pack", help="online best-fit sequence packing")
     p.add_argument("--capacity", type=int, required=True)
@@ -571,10 +549,10 @@ def build_parser() -> argparse.ArgumentParser:
     passk.add_argument("--n", type=int, required=True)
     passk.add_argument("--c", type=int, required=True)
     passk.add_argument("--k", type=int, required=True)
-    passk.set_defaults(func=cmd_evalstats)
+    passk.set_defaults(func=cmd_evalstats_passk)
     mem = metric.add_parser("mem", help="sentence-level memorization rate")
     mem.add_argument("--pairs", required=True, help="sentence-pair records path")
-    mem.set_defaults(func=cmd_evalstats)
+    mem.set_defaults(func=cmd_evalstats_mem)
 
     return parser
 

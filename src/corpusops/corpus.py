@@ -97,6 +97,8 @@ def word_count(text: str) -> int:
 def parse_record(line: str, line_number: int) -> Document:
     """One wire line as a :class:`Document`; ``ValueError`` if malformed.
 
+    A ``text`` or ``id`` holding a lone surrogate (JSON allows
+    ``"\\ud800"``) is malformed: it cannot be hashed or written as UTF-8.
     ``line_number`` names the document when the record has no ``id``.
     """
     obj = json.loads(line)
@@ -123,6 +125,16 @@ def parse_record(line: str, line_number: int) -> Document:
     doc_id = obj.get("id", f"line-{line_number}")
     if not isinstance(doc_id, str):
         doc_id = str(doc_id)
+
+    for key, value in (("id", doc_id), ("text", text)):
+        if not value.isascii():
+            try:
+                value.encode("utf-8")
+            except UnicodeEncodeError as exc:
+                raise ValueError(
+                    f'"{key}" cannot be encoded as UTF-8: {exc.reason} '
+                    f"at character {exc.start}"
+                ) from None
 
     timestamp = obj.get("timestamp")
     if timestamp is not None and not isinstance(timestamp, str):

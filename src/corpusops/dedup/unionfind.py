@@ -11,7 +11,7 @@ the input pairs.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -171,15 +171,14 @@ def cluster(
 
 def choose_representative(
     cluster_record: ClusterRecord,
-    lookup: Mapping[str, Document] | Callable[[str], Document],
+    lookup: Mapping[str, Document],
 ) -> str:
     """Pick the member to keep: curated first, then newest, then smallest id.
 
     Documents without a timestamp rank as oldest.  Raises ``KeyError`` if
     any member id cannot be resolved.
     """
-    resolve = lookup.__getitem__ if isinstance(lookup, Mapping) else lookup
-    docs = [resolve(member_id) for member_id in cluster_record.members]
+    docs = [lookup[member_id] for member_id in cluster_record.members]
 
     # Stable multi-pass sort: final tie-break first.  ISO-8601 dates order
     # lexicographically, so no parsing is needed; missing dates rank oldest.

@@ -14,27 +14,12 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 __all__ = [
-    "SampleOutcome",
     "SentencePair",
     "mean_over_runs",
     "memorization_rate",
     "pass_at_k",
     "split_sentences",
 ]
-
-
-@dataclass(frozen=True)
-class SampleOutcome:
-    """n attempts at one problem, c of them correct."""
-
-    n: int
-    c: int
-
-    def __post_init__(self) -> None:
-        if self.n < 1:
-            raise ValueError(f"need at least one attempt, got n={self.n}")
-        if not 0 <= self.c <= self.n:
-            raise ValueError(f"c must be within [0, n], got c={self.c}, n={self.n}")
 
 
 def pass_at_k(n: int, c: int, k: int) -> float:
@@ -44,7 +29,10 @@ def pass_at_k(n: int, c: int, k: int) -> float:
     large n cannot overflow.  Non-decreasing in both c and k, and
     pass@1 == c/n.
     """
-    SampleOutcome(n=n, c=c)  # validate n, c
+    if n < 1:
+        raise ValueError(f"need at least one attempt, got n={n}")
+    if not 0 <= c <= n:
+        raise ValueError(f"c must be within [0, n], got c={c}, n={n}")
     if not 1 <= k <= n:
         raise ValueError(f"k must be within [1, n], got k={k}, n={n}")
     if c == 0:

@@ -71,12 +71,8 @@ DEFAULT_WEIGHTS: Mapping[tuple[DupBucket, bool], int] = {
 }
 
 
-def weight_of(
-    bucket: DupBucket,
-    source_class: SourceClass,
-    table: Mapping[tuple[DupBucket, bool], int] = DEFAULT_WEIGHTS,
-) -> int:
-    return table[(bucket, source_class is SourceClass.COMMON_CRAWL)]
+def weight_of(bucket: DupBucket, source_class: SourceClass) -> int:
+    return DEFAULT_WEIGHTS[(bucket, source_class is SourceClass.COMMON_CRAWL)]
 
 
 @dataclass(frozen=True)
@@ -111,15 +107,8 @@ class MixManifest:
         if abs(total - 1.0) > 1e-9:
             raise ValueError(f"proportions sum to {total}, expected 1")
 
-    @property
-    def total_weighted_tokens(self) -> int:
-        return sum(row.weighted_tokens for row in self.rows)
 
-
-def build_manifest(
-    stats: Iterable[GroupStat],
-    table: Mapping[tuple[DupBucket, bool], int] = DEFAULT_WEIGHTS,
-) -> MixManifest:
+def build_manifest(stats: Iterable[GroupStat]) -> MixManifest:
     """Proportion of the weighted token mass for each group, input order.
 
     proportion_g = w_g * tokens_g / sum(w * tokens).  Requires at least
@@ -131,9 +120,7 @@ def build_manifest(
     names = [s.group for s in stats]
     if len(set(names)) != len(names):
         raise ValueError("group names must be unique")
-    weighted = [
-        (s, s.tokens * weight_of(s.bucket, s.source_class, table)) for s in stats
-    ]
+    weighted = [(s, s.tokens * weight_of(s.bucket, s.source_class)) for s in stats]
     total = sum(w for _, w in weighted)
     if total == 0:
         raise ValueError("all groups have zero tokens")
@@ -141,7 +128,7 @@ def build_manifest(
         ManifestRow(
             group=s.group,
             tokens=s.tokens,
-            weight=weight_of(s.bucket, s.source_class, table),
+            weight=weight_of(s.bucket, s.source_class),
             weighted_tokens=w,
             proportion=w / total,
         )

@@ -22,7 +22,6 @@ __all__ = [
     "PackStats",
     "PackedSequence",
     "pack_online",
-    "pack_stats",
 ]
 
 
@@ -151,19 +150,3 @@ def pack_online(
             yield seal(bin_)
 
     return generate(), stats
-
-
-def pack_stats(sequences: Iterable[PackedSequence]) -> PackStats:
-    """Aggregate ratios over already-packed sequences.
-
-    ``docs_skipped`` is not recoverable from sequences alone and stays 0.
-    """
-    stats = PackStats()
-    for seq in sequences:
-        if stats.sequences and seq.capacity != stats.capacity:
-            raise ValueError("sequences have mixed capacities")
-        stats.capacity = seq.capacity
-        stats.sequences += 1
-        stats.docs_packed += len(seq.entries)
-        stats.padding_tokens += seq.padding
-    return stats

@@ -43,6 +43,8 @@ __all__ = [
 ]
 
 MAD_TO_SIGMA = 1.4826  # matches the standard deviation under normality
+_MAD_FLOOR = 1e-8  # keeps a locally constant series from dividing by zero
+_SPIKE_Z = 5.0  # spike_score flags a z-score above this
 
 
 @dataclass(frozen=True)
@@ -75,7 +77,7 @@ class MonitorConfig:
     total_steps: int
     webhook: str | None = None
     z_window_fraction: float = 0.01
-    mad_floor: float = 1e-8
+    mad_floor: float = _MAD_FLOOR
 
     def __post_init__(self) -> None:
         if self.checkpoint_interval < 1:
@@ -152,21 +154,16 @@ def rolling_median_mad(series: Sequence[float], window: int) -> tuple[float, flo
     return median, mad
 
 
-def spike_score(
-    series: Sequence[float],
-    window: int,
-    z_threshold: float = 5.0,
-    mad_floor: float = 1e-8,
-) -> tuple[float, bool]:
+def spike_score(series: Sequence[float], window: int) -> tuple[float, bool]:
     """Robust local z-score of the last point and its spike flag.
 
-    z_t = (y_t - m_t) / (1.4826 * max(mad_t, mad_floor)); the flag is
-    ``z_t > z_threshold``.  The floor removes the singularity on locally
-    constant series.
+    z_t = (y_t - m_t) / (1.4826 * max(mad_t, 1e-8)); the flag is
+    ``z_t > 5``.  The floor removes the singularity on locally constant
+    series.
     """
     median, mad = rolling_median_mad(series, window)
-    z = (series[-1] - median) / (MAD_TO_SIGMA * max(mad, mad_floor))
-    return z, z > z_threshold
+    z = (series[-1] - median) / (MAD_TO_SIGMA * max(mad, _MAD_FLOOR))
+    return z, z > _SPIKE_Z
 
 
 def detect(window_values: Sequence[float], tier: DetectorTier) -> bool:

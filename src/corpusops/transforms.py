@@ -14,7 +14,7 @@ from __future__ import annotations
 import random
 import re
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 __all__ = [
     "DEFAULT_IMPORT_PATTERNS",
@@ -136,21 +136,15 @@ def _extension(path: str) -> str:
     return _EXTENSION_ALIASES.get(ext, ext)
 
 
-def extract_imports(
-    repo_file: RepoFile,
-    patterns: Mapping[str, Iterable[str]] = DEFAULT_IMPORT_PATTERNS,
-) -> list[str]:
+def extract_imports(repo_file: RepoFile) -> list[str]:
     """Module names lexically imported by a file, ordered and deduplicated.
 
     Matching is regex-only over the raw text, so imports inside comments
     or strings are included by design.  Unknown extensions yield an empty
     list rather than an error.
     """
-    ext = _extension(repo_file.path)
-    if ext not in patterns:
-        return []
     seen: list[str] = []
-    for pattern in patterns[ext]:
+    for pattern in DEFAULT_IMPORT_PATTERNS.get(_extension(repo_file.path), ()):
         for match in re.finditer(pattern, repo_file.text, re.MULTILINE):
             name = match.group(1)
             if name not in seen:
@@ -163,17 +157,11 @@ class DepGraph:
     """Directed edges dependency -> dependent over file-path nodes."""
 
     nodes: list[str]
-    edges: set[tuple[str, str]] = field(default_factory=set)
+    edges: set[tuple[str, str]] = field(default_factory=set, init=False)
 
     def __post_init__(self) -> None:
-        node_set = set(self.nodes)
-        if len(node_set) != len(self.nodes):
+        if len(set(self.nodes)) != len(self.nodes):
             raise ValueError("duplicate node paths")
-        for dependency, dependent in self.edges:
-            if dependency == dependent:
-                raise ValueError(f"self-edge on {dependency!r}")
-            if dependency not in node_set or dependent not in node_set:
-                raise ValueError(f"edge ({dependency!r}, {dependent!r}) off the node set")
 
     def add_edge(self, dependency: str, dependent: str) -> None:
         if dependency == dependent:
@@ -217,10 +205,7 @@ def _resolve_module(
     return matches[0] if matches else None
 
 
-def build_dep_graph(
-    files: Sequence[RepoFile],
-    patterns: Mapping[str, Iterable[str]] = DEFAULT_IMPORT_PATTERNS,
-) -> DepGraph:
+def build_dep_graph(files: Sequence[RepoFile]) -> DepGraph:
     """Dependency graph of a repository from lexical import statements.
 
     Module names resolve to repository paths by exact path, by path with
@@ -236,7 +221,7 @@ def build_dep_graph(
 
     graph = DepGraph(nodes=list(paths))
     for repo_file in files:
-        for name in extract_imports(repo_file, patterns):
+        for name in extract_imports(repo_file):
             target = _resolve_module(name, repo_file.path, by_path, stems)
             if target is not None and target != repo_file.path:
                 graph.add_edge(target, repo_file.path)

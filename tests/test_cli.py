@@ -106,6 +106,20 @@ class TestDedupNearCli:
             "largest_bucket": 4, "confirmations": 3,
         }
 
+    def test_cluster_rows_on_stderr_match_the_clusters_file(self, tmp_path, monkeypatch, capsys):
+        text = " ".join(f"tok{i}" for i in range(60))
+        stdin = records({"id": "é1", "text": text}, {"id": "é2", "text": text})
+        clusters_path = tmp_path / "clusters.jsonl"
+        _, out_file, err_file = run_cli(
+            ["dedup-near", "--clusters", str(clusters_path)], stdin, monkeypatch, capsys
+        )
+        code, out, err = run_cli(["dedup-near"], stdin, monkeypatch, capsys)
+        assert code == 0 and out == out_file
+        rows, stats = err.splitlines(keepends=True)[:-1], err.splitlines()[-1]
+        assert "".join(rows) == clusters_path.read_text(encoding="utf-8")
+        assert rows == ['{"representative": "é1", "members": ["é1", "é2"], "size": 2}\n']
+        assert err_file.splitlines() == [stats]
+
     def test_negative_seed_exits_2(self, monkeypatch, capsys):
         stdin = records({"id": "a", "text": "hello world"})
         code, out, err = run_cli(["dedup-near", "--seed", "-1"], stdin, monkeypatch, capsys)
@@ -218,6 +232,7 @@ class TestTransformCli:
             "not json",
             '{"repo": "no-files"}',
             '{"repo": "r", "files": [{"path": "a.py"}]}',
+            '{"repo": "r", "files": [{"path": "a.py", "text": 5}]}',
             '{"repo": "r", "files": [{"path": "a.py", "text": ""}, {"path": "a.py", "text": ""}]}',
             '"just a string"',
         ],
@@ -245,6 +260,38 @@ class TestTransformCli:
         row = parse_lines(out)[0]
         assert row["text"] == "Body.\n\nQ: Q1?\nA: A1.\n"
         assert "qa" not in row
+
+    def test_qa_empty_list_passes_the_record_through(self, monkeypatch, capsys):
+        stdin = records({"id": "d", "text": "Body.", "qa": []})
+        code, out, err = run_cli(["transform", "qa"], stdin, monkeypatch, capsys)
+        assert code == 0 and err == ""
+        assert out == (
+            '{"id": "d", "text": "Body.", "source_class": "CommonCrawl", '
+            '"dup_count": 1, "curated": false, "qa": []}\n'
+        )
+
+    @pytest.mark.parametrize(
+        "garbage",
+        [
+            "not json",
+            '{"id": "x", "text": "x", "qa": [1]}',
+            '{"id": "x", "text": "x", "qa": [{"q": "a"}]}',
+            '{"id": "x", "text": "x", "qa": "text"}',
+            '{"id": "x", "text": "x", "qa": 5}',
+        ],
+    )
+    def test_qa_bad_line_is_skipped_and_reported(self, garbage, monkeypatch, capsys):
+        good = [
+            {"id": "one", "text": "Body.", "qa": [{"q": "Q1?", "a": "A1."}]},
+            {"id": "two", "text": "Other.", "qa": [{"q": "Q2?", "a": "A2."}]},
+        ]
+        _, expected, _ = run_cli(["transform", "qa"], records(*good), monkeypatch, capsys)
+        stdin = records(good[0]) + garbage + "\n" + records(good[1])
+        code, out, err = run_cli(["transform", "qa"], stdin, monkeypatch, capsys)
+        assert code == 0
+        assert out == expected
+        assert [row["id"] for row in parse_lines(out)] == ["one", "two"]
+        assert err.startswith("line 2: ") and len(err.splitlines()) == 1
 
 
 class TestPackCli:
@@ -463,6 +510,29 @@ class TestErrorPaths:
         assert code == 0
         assert [d["id"] for d in parse_lines(out)] == ["a"]
         assert "line 1" in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["dedup-exact", "--capacity", "10"],
+            ["dedup-near"],
+            ["transform", "fim", "--seed", "3"],
+        ],
+        ids=lambda argv: argv[-1] if argv[0] == "transform" else argv[0],
+    )
+    def test_lone_surrogate_record_is_skipped_and_reported(self, argv, monkeypatch, capsys):
+        good = [
+            {"id": "a", "text": "the first good document"},
+            {"id": "c", "text": "another good document here"},
+        ]
+        _, expected, _ = run_cli(argv, records(*good), monkeypatch, capsys)
+        bad = '{"id": "b", "text": "bad \\ud800 text"}\n'
+        code, out, err = run_cli(argv, records(good[0]) + bad + records(good[1]), monkeypatch, capsys)
+        assert code == 0
+        assert out == expected
+        reports = [line for line in err.splitlines() if line.startswith("line ")]
+        assert reports == ['line 2: "text" cannot be encoded as UTF-8: '
+                           "surrogates not allowed at character 4"]
 
     def test_domain_errors_exit_2(self, monkeypatch, capsys):
         code, _, err = run_cli(

@@ -9,7 +9,6 @@ from corpusops.packing import (
     PackInput,
     PackedSequence,
     pack_online,
-    pack_stats,
 )
 from helpers import optimal_bins, reference_pack
 
@@ -113,28 +112,6 @@ class TestPackOnline:
             run_pack([1], capacity=4, max_open=0)
         with pytest.raises(ValueError):
             PackInput(id="x", length=0)
-
-
-class TestPackStats:
-    def test_ratio_from_sequences(self):
-        seq = PackedSequence(capacity=8, entries=(("a", 6),), padding=2)
-        stats = pack_stats([seq])
-        assert stats.padding_ratio == 0.25
-        assert stats.truncation_ratio == 0.0
-
-    def test_empty_stream_all_zero(self):
-        stats = pack_stats([])
-        assert stats.sequences == 0
-        assert stats.padding_ratio == 0.0
-        assert stats.padding_tokens == 0
-
-    def test_mixed_capacities_rejected(self):
-        seqs = [
-            PackedSequence(capacity=8, entries=(("a", 8),), padding=0),
-            PackedSequence(capacity=9, entries=(("b", 9),), padding=0),
-        ]
-        with pytest.raises(ValueError):
-            pack_stats(seqs)
 
 
 class TestOptimalBins:
