@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import random
 import sys
@@ -44,10 +45,14 @@ from corpusops.corpus import (
 
 @contextmanager
 def _open_in(path: str | None) -> Iterator[IO[str]]:
+    # An invalid byte decodes to a lone surrogate, so read_rows skips and
+    # reports its line instead of the decoder aborting the stream.
     if path in (None, "-"):
+        if hasattr(sys.stdin, "reconfigure"):
+            sys.stdin.reconfigure(errors="surrogateescape")
         yield sys.stdin
     else:
-        with open(path, "r", encoding="utf-8") as handle:
+        with open(path, "r", encoding="utf-8", errors="surrogateescape") as handle:
             yield handle
 
 
@@ -227,8 +232,14 @@ def cmd_transform_topo(args: argparse.Namespace) -> int:
     from corpusops.transforms import RepoFile, build_dep_graph, concat_repo, topo_order
 
     # Input rows: {"repo": name, "files": [{"path":..., "text":...}, ...]}
+    def repo_file(obj: dict) -> RepoFile:
+        path, text = obj["path"], obj["text"]
+        if not (isinstance(path, str) and isinstance(text, str)):
+            raise ValueError('"path" and "text" of a file must be strings')
+        return RepoFile(path, text)
+
     def concat(row: dict) -> dict:
-        files = [RepoFile(f["path"], f["text"]) for f in row["files"]]
+        files = [repo_file(f) for f in row["files"]]
         order = topo_order(build_dep_graph(files), [f.path for f in files])
         by_path = {f.path: f for f in files}
         return {
@@ -342,10 +353,13 @@ def _parse_tier(name: str, value: str) -> DetectorTier:
 def cmd_monitor(args: argparse.Namespace) -> int:
     from corpusops.runwatch import MetricPoint, MonitorConfig, run_monitor
 
-    parse = _row_parser(
-        lambda row: MetricPoint(step=int(row["step"]), value=float(row["loss"])),
-        'numeric "step" and "loss"',
-    )
+    def point(row: dict) -> MetricPoint:
+        step, loss = int(row["step"]), float(row["loss"])
+        if not math.isfinite(loss):
+            raise ValueError(f'"loss" must be finite, got {loss}')
+        return MetricPoint(step=step, value=loss)
+
+    parse = _row_parser(point, 'numeric "step" and "loss"')
     config = MonitorConfig(
         alert=_parse_tier("alert", args.alert),
         restart=_parse_tier("restart", args.restart),

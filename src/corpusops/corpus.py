@@ -13,12 +13,9 @@ curation runs over very large corpora must be fault-tolerant.
 from __future__ import annotations
 
 import json
-import logging
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import IO, Any, Callable, Iterable, Iterator, TypeVar
-
-logger = logging.getLogger(__name__)
 
 __all__ = [
     "Document",
@@ -152,6 +149,21 @@ def parse_record(line: str, line_number: int) -> Document:
     )
 
 
+def _check_utf8(line: str) -> None:
+    try:
+        line.encode("utf-8")
+    except UnicodeEncodeError as exc:
+        code = ord(line[exc.start])
+        what = (
+            f"byte 0x{code - 0xDC00:02x}"  # an invalid byte, surrogate-escaped
+            if 0xDC80 <= code <= 0xDCFF
+            else f"lone surrogate U+{code:04X}"
+        )
+        raise ValueError(
+            f"line is not valid UTF-8: {what} at character {exc.start}"
+        ) from None
+
+
 def read_rows(
     stream: IO[str] | Iterable[str],
     parse: Callable[[str, int], Row],
@@ -161,20 +173,29 @@ def read_rows(
 
     A line whose parse raises ``ValueError`` (bad JSON included) is passed
     to ``on_error`` as :class:`RecordError` with its 1-based line number;
-    reading then continues with the next line.  The default handler logs
-    a warning.
+    reading then continues with the next line.  So is a line that is not
+    valid UTF-8: a stream decoded with ``errors="surrogateescape"`` turns
+    each invalid byte into a lone surrogate, which UTF-8 cannot encode.
+    The default handler logs a warning.
     """
     for line_number, line in enumerate(stream, start=1):
         if not line.strip():
             continue
         try:
+            if not line.isascii():
+                _check_utf8(line)
             yield parse(line, line_number)
         except ValueError as exc:
             err = RecordError(line_number, str(exc), line.rstrip("\n"))
             if on_error is not None:
                 on_error(err)
             else:
-                logger.warning("skipping line %d: %s", err.line_number, err.message)
+                # logging is imported only when there is something to report.
+                import logging
+
+                logging.getLogger(__name__).warning(
+                    "skipping line %d: %s", err.line_number, err.message
+                )
 
 
 def read_records(

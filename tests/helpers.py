@@ -199,6 +199,36 @@ def reference_spike_scores(series, window: int, mad_floor: float):
     return out
 
 
+def reference_monitor_events(points, config):
+    """The monitor loop as it was before per-tier O(1) state: :func:`detect`
+    over a list copy of each tier's window at every step, z from the
+    quadratic reference, no webhook."""
+    from collections import deque
+
+    from corpusops.runwatch import MonitorEvent, detect
+
+    scores = reference_spike_scores([p.value for p in points], config.z_window, config.mad_floor)
+    alert_window = deque(maxlen=config.alert.window)
+    restart_window = deque(maxlen=config.restart.window)
+    restart_armed = True
+    events = []
+    for point, (_, _, z) in zip(points, scores):
+        alert_window.append(point.value)
+        restart_window.append(point.value)
+        if detect(list(alert_window), config.alert):
+            events.append(MonitorEvent(1, point.step, min(alert_window), max(alert_window), z))
+        restart_hit = detect(list(restart_window), config.restart)
+        if restart_hit and restart_armed:
+            rollback = (point.step // config.checkpoint_interval) * config.checkpoint_interval
+            events.append(
+                MonitorEvent(2, point.step, min(restart_window), max(restart_window), z, rollback)
+            )
+            restart_armed = False
+        elif not restart_hit:
+            restart_armed = True
+    return events
+
+
 # ---------------------------------------------------------------------------
 # Step-by-step best-fit packing reference (naive list scan, no indexing)
 

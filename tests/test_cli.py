@@ -233,6 +233,7 @@ class TestTransformCli:
             '{"repo": "no-files"}',
             '{"repo": "r", "files": [{"path": "a.py"}]}',
             '{"repo": "r", "files": [{"path": "a.py", "text": 5}]}',
+            '{"repo": "r", "files": [{"path": 5, "text": "x"}]}',
             '{"repo": "r", "files": [{"path": "a.py", "text": ""}, {"path": "a.py", "text": ""}]}',
             '"just a string"',
         ],
@@ -360,6 +361,9 @@ class TestMonitorCli:
             "[1, 2]",
             '{"step": "x", "loss": 1}',
             '{"step": 1e999, "loss": 1}',
+            '{"step": 5, "loss": NaN}',
+            '{"step": 5, "loss": Infinity}',
+            '{"step": 5, "loss": 1e999}',
         ],
     )
     def test_bad_line_is_skipped_and_reported(self, garbage, monkeypatch, capsys):
@@ -372,6 +376,22 @@ class TestMonitorCli:
         assert parse_lines(out) == parse_lines(expected)
         assert any(e["tier"] == 2 for e in parse_lines(out))
         assert err.startswith("line 26: ") and len(err.splitlines()) == 1
+
+    def test_non_finite_losses_are_skipped_and_reported(self, monkeypatch, capsys):
+        # NaN among the losses used to end in an IndexError traceback from
+        # the rolling median (z window 5 at --total-steps 500).
+        args = ["monitor", "--total-steps", "500", "--alert", "3,2.0,3.0",
+                "--restart", "5,2.5,4.0", "--interval", "10"]
+        losses = ["5.0", "NaN", "4.0", "2.0", "1.0", "4.0", "5.0", "0.0", "3.0", "NaN", "1.0", "NaN"]
+        stdin = "".join(f'{{"step": {i}, "loss": {v}}}\n' for i, v in enumerate(losses))
+        finite = "".join(f'{{"step": {i}, "loss": {v}}}\n' for i, v in enumerate(losses) if v != "NaN")
+        _, expected, _ = run_cli(args, finite, monkeypatch, capsys)
+        code, out, err = run_cli(args, stdin, monkeypatch, capsys)
+        assert code == 0
+        assert out == expected
+        assert err.splitlines() == [
+            f'line {n}: "loss" must be finite, got nan' for n in (2, 10, 12)
+        ]
 
     def test_webhook_from_environment(self, monkeypatch, capsys):
         # Endpoint may come from CORPUSOPS_WEBHOOK instead of --webhook;
@@ -534,6 +554,45 @@ class TestErrorPaths:
         assert reports == ['line 2: "text" cannot be encoded as UTF-8: '
                            "surrogates not allowed at character 4"]
 
+    @pytest.mark.parametrize("source", ["file", "stdin"])
+    @pytest.mark.parametrize(
+        "argv", [["dedup-exact", "--capacity", "10"], ["pack", "--capacity", "8"]],
+        ids=lambda argv: argv[0],
+    )
+    def test_invalid_utf8_line_is_skipped_and_reported(self, argv, source, tmp_path,
+                                                       monkeypatch, capsys):
+        good = records({"id": "a", "text": "one good"}, {"id": "c", "text": "two good"})
+        _, expected, _ = run_cli(argv, good, monkeypatch, capsys)
+        first, second = good.splitlines(keepends=True)
+        data = (first + '{"id": "b", "text": "bad ').encode() + b"\xff" + b' byte"}\n' + second.encode()
+        if source == "file":
+            path = tmp_path / "in.jsonl"
+            path.write_bytes(data)
+            code, out, err = run_cli([*argv, "-i", str(path)], "", monkeypatch, capsys)
+        else:  # stdin in UTF-8 mode decodes an invalid byte as a lone surrogate
+            code, out, err = run_cli(argv, data.decode("utf-8", "surrogateescape"),
+                                     monkeypatch, capsys)
+        assert code == 0
+        assert out == expected
+        reports = [line for line in err.splitlines() if line.startswith("line ")]
+        assert reports == ["line 2: line is not valid UTF-8: byte 0xff at character 25"]
+
+    def test_invalid_utf8_on_strict_stdin_is_skipped_and_reported(self):
+        # Whatever error handler the interpreter gave stdin, the CLI reads
+        # it with surrogateescape, as it does -i files.
+        env = dict(os.environ, PYTHONIOENCODING="utf-8:strict")
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, [TestImportsPerCommand.SRC, env.get("PYTHONPATH")])
+        )
+        data = records({"id": "a", "text": "one good"}).encode() + b'{"text": "\xff"}\n'
+        proc = subprocess.run(
+            [sys.executable, "-m", "corpusops", "pack", "--capacity", "8"],
+            input=data, capture_output=True, timeout=60, env=env,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stderr.decode() == "line 2: line is not valid UTF-8: byte 0xff at character 10\n"
+        assert b'"docs_packed": 1' in proc.stdout
+
     def test_domain_errors_exit_2(self, monkeypatch, capsys):
         code, _, err = run_cli(
             ["evalstats", "passk", "--n", "2", "--c", "1", "--k", "5"],
@@ -554,13 +613,15 @@ def test_module_entry_point_subprocess():
 
 
 class TestImportsPerCommand:
-    """Commands other than dedup-near run without numpy or urllib."""
+    """Commands other than dedup-near run without numpy or urllib, and
+    commands on clean input without logging."""
 
     SRC = str(pathlib.Path(corpusops.__file__).resolve().parent.parent)
     BLOCKED_RUN = (
         "import sys\n"
         "sys.modules['numpy'] = None\n"
         "sys.modules['urllib.request'] = None\n"
+        "sys.modules['logging'] = None\n"
         "from corpusops.cli import main\n"
         "sys.exit(main(sys.argv[1:]))\n"
     )
@@ -576,7 +637,7 @@ class TestImportsPerCommand:
     def test_importing_the_cli_loads_neither(self):
         proc = self.run_python(
             "import sys, corpusops.cli\n"
-            "print(sorted({'numpy', 'urllib.request'} & set(sys.modules)))"
+            "print(sorted({'numpy', 'urllib.request', 'logging'} & set(sys.modules)))"
         )
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "[]"
@@ -618,6 +679,18 @@ class TestImportsPerCommand:
         proc = self.run_python(self.BLOCKED_RUN, *(a.format(**paths) for a in argv))
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip()
+
+    def test_monitor_without_events_never_loads_urllib(self, tmp_path):
+        # The webhook worker and urllib start with the first event only.
+        losses = tmp_path / "losses.jsonl"
+        losses.write_text(records(*({"step": i, "loss": 1.0} for i in range(50))))
+        proc = self.run_python(
+            self.BLOCKED_RUN, "monitor", "--total-steps", "2000", "--alert", "3,2.0,3.0",
+            "--restart", "5,2.5,4.0", "--interval", "500",
+            "--webhook", "http://127.0.0.1:1/unreachable", "-i", str(losses),
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == proc.stderr == ""
 
     def test_dedup_near_loads_neither_numpy_random_nor_numpy_ma(self, tmp_path):
         docs = tmp_path / "docs.jsonl"

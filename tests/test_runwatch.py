@@ -1,12 +1,20 @@
 import http.server
+import io
 import json
+import logging
+import math
 import random
+import sys
 import threading
+import time
+import urllib.error
+import urllib.request
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from corpusops import runwatch
 from corpusops.runwatch import (
     DetectorTier,
     MetricPoint,
@@ -17,7 +25,7 @@ from corpusops.runwatch import (
     run_monitor,
     spike_score,
 )
-from helpers import reference_spike_scores
+from helpers import reference_monitor_events, reference_spike_scores
 
 ALERT = DetectorTier(name="alert", window=3, t_min=2.0, t_max=3.0)
 RESTART = DetectorTier(name="restart", window=5, t_min=2.5, t_max=4.0)
@@ -183,6 +191,54 @@ class TestRunMonitor:
         with pytest.raises(ValueError):
             list(run_monitor(points, config()))
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_value_rejected(self, bad):
+        # NaN used to break the rolling median's sort order (an IndexError
+        # a few steps later); now it is refused at the step it arrives.
+        values = [5.0, bad, 4.0, 2.0, 1.0, 4.0, 5.0, 0.0, 3.0, 1.0]
+        with pytest.raises(ValueError, match="step 1 is not finite"):
+            list(run_monitor(stream(values), config(total_steps=500)))
+
+    @given(
+        st.lists(
+            st.one_of(
+                st.sampled_from([-0.0, 0.0, 1.0, 2.0, 2.5, 3.0, 4.0, 5.0]),
+                st.floats(min_value=-10, max_value=10, allow_nan=False),
+            ),
+            max_size=80,
+        ),
+        st.lists(st.integers(min_value=1, max_value=700), min_size=80, max_size=80),
+        st.tuples(
+            st.integers(min_value=1, max_value=7),
+            st.sampled_from([-1.0, 0.0, 1.0, 2.0, 2.5, 3.0]),
+            st.sampled_from([0.0, 0.5, 1.0, 2.0]),
+        ),
+        st.tuples(
+            st.integers(min_value=1, max_value=7),
+            st.sampled_from([-1.0, 0.0, 1.0, 2.0, 2.5, 3.0]),
+            st.sampled_from([0.0, 0.5, 1.0, 2.0]),
+        ),
+        st.integers(min_value=1, max_value=50),
+        st.integers(min_value=1, max_value=1500),
+    )
+    @example(  # -0.0 before 0.0: window_min must keep the window's order
+        [-0.0, 0.0, 3.0], [1] * 80, (3, -1.0, 2.0), (3, -1.0, 2.0), 1, 100
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_events_match_the_window_scan(self, values, gaps, alert, restart, interval, total):
+        steps = [sum(gaps[: i + 1]) for i in range(len(values))]
+        points = [MetricPoint(step, value) for step, value in zip(steps, values)]
+        cfg = config(
+            alert=DetectorTier("alert", alert[0], alert[1], alert[1] + alert[2]),
+            restart=DetectorTier("restart", restart[0], restart[1], restart[1] + restart[2]),
+            checkpoint_interval=interval,
+            total_steps=total,
+        )
+        expected = reference_monitor_events(points, cfg)
+        got = list(run_monitor(points, cfg))
+        # JSON text, so 0.0 and -0.0 in window_min/window_max differ too
+        assert [json.dumps(e.to_json()) for e in got] == [json.dumps(e.to_json()) for e in expected]
+
 
 class _Capture(http.server.BaseHTTPRequestHandler):
     received: list[dict] = []
@@ -205,6 +261,7 @@ def webhook_server():
     thread.start()
     yield f"http://127.0.0.1:{server.server_port}/hook", _Capture.received
     server.shutdown()
+    server.server_close()
 
 
 class TestWebhook:
@@ -230,3 +287,150 @@ class TestWebhook:
             )
         )
         assert [e for e in events if e.tier == 2]
+
+
+URL = "http://hook.invalid/events"
+QUIET = DetectorTier(name="restart", window=5, t_min=10.0, t_max=20.0)  # never fires
+
+
+@pytest.fixture
+def posted(monkeypatch):
+    """Steps the webhook received, through a fake ``urlopen``."""
+    steps = []
+
+    def fake_urlopen(request, timeout):
+        steps.append(json.loads(request.data)["step"])
+        return io.BytesIO()
+
+    monkeypatch.setattr(urllib.request, "urlopen", fake_urlopen)
+    return steps
+
+
+@pytest.fixture
+def threads_started(monkeypatch):
+    names = []
+
+    class Recording(threading.Thread):
+        def start(self):
+            names.append(self.name)
+            super().start()
+
+    monkeypatch.setattr(threading, "Thread", Recording)
+    return names
+
+
+def warnings_of(caplog):
+    return [r.getMessage() for r in caplog.records if r.levelno == logging.WARNING]
+
+
+class TestWebhookWorker:
+    def test_every_event_is_posted_before_run_monitor_returns(self, posted, threads_started):
+        values = [1.0] * 10 + [5.0] * 40 + [1.0] * 10 + [5.0] * 6
+        events = list(run_monitor(stream(values), config(webhook=URL)))
+        assert len(events) > 40
+        assert posted == [e.step for e in events]
+        assert threads_started == ["corpusops-webhook"]
+
+    def test_stream_without_events_starts_no_thread(self, posted, threads_started):
+        assert list(run_monitor(stream([1.0] * 50), config(webhook=URL))) == []
+        assert threads_started == []
+        assert posted == []
+
+    def test_full_queue_drops_the_oldest_and_warns_with_the_count(self, monkeypatch, caplog):
+        monkeypatch.setattr(runwatch, "WEBHOOK_QUEUE_BOUND", 2)
+        first_post, release = threading.Event(), threading.Event()
+        steps = []
+
+        def held_urlopen(request, timeout):
+            first_post.set()
+            release.wait(10)
+            steps.append(json.loads(request.data)["step"])
+            return io.BytesIO()
+
+        monkeypatch.setattr(urllib.request, "urlopen", held_urlopen)
+
+        def points():
+            # Alert events at steps 7-12; step 7's post holds the worker
+            # while 8-12 arrive at a queue that keeps two.
+            for point in stream([1.0] * 5 + [5.0] * 8):
+                if point.step == 8:
+                    assert first_post.wait(10)
+                yield point
+            release.set()
+
+        events = list(run_monitor(points(), config(restart=QUIET, webhook=URL)))
+        assert [e.step for e in events] == [7, 8, 9, 10, 11, 12]
+        assert steps == [7, 11, 12]
+        assert warnings_of(caplog) == [
+            "webhook delivery dropped 3 events (3 oldest past the queue bound of 2)"
+        ]
+
+    def test_failed_post_after_the_stream_ends_delivery(self, monkeypatch, caplog):
+        hang = 0.4  # stands in for the post timeout
+        steps = []
+
+        def dead_urlopen(request, timeout):
+            steps.append(json.loads(request.data)["step"])
+            time.sleep(hang)
+            raise urllib.error.URLError("timed out")
+
+        monkeypatch.setattr(urllib.request, "urlopen", dead_urlopen)
+        start = time.perf_counter()
+        events = list(run_monitor(stream([5.0] * 6), config(restart=QUIET, webhook=URL)))
+        elapsed = time.perf_counter() - start
+        assert [e.step for e in events] == [2, 3, 4, 5]
+        # One timeout, not four: the first failure drops the three queued.
+        assert hang <= elapsed < 2.5 * hang
+        assert steps == [2]
+        (warning,) = warnings_of(caplog)
+        assert warning.startswith(
+            "webhook delivery dropped 3 events (3 still queued when the post "
+            "for step 2 failed after the stream ended: "
+        )
+
+    @pytest.mark.parametrize("bound", [4096, 3])
+    def test_concurrent_monitors_lose_no_event_uncounted(self, bound, monkeypatch, caplog):
+        # Three monitors, each with its own worker, on a two-core host with
+        # a short switch interval: every event is either posted, in order,
+        # or counted as dropped.
+        monkeypatch.setattr(runwatch, "WEBHOOK_QUEUE_BOUND", bound)
+        posted = {}
+
+        def fake_urlopen(request, timeout):
+            posted.setdefault(request.full_url, []).append(json.loads(request.data)["step"])
+            return io.BytesIO()
+
+        monkeypatch.setattr(urllib.request, "urlopen", fake_urlopen)
+        values = ([1.0] * 7 + [5.0] * 60) * 12
+        emitted = {}
+
+        def monitor(url):
+            emitted[url] = [e.step for e in run_monitor(stream(values), config(webhook=url))]
+
+        urls = [f"{URL}/{i}" for i in range(3)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=monitor, args=(url,)) for url in urls]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        dropped = sum(
+            int(message.split()[3]) for message in warnings_of(caplog)
+            if message.startswith("webhook delivery dropped")
+        )
+        missing = 0
+        for url in urls:
+            steps, delivered = emitted[url], posted.get(url, [])
+            assert len(steps) > 700
+            remaining = iter(steps)
+            assert all(step in remaining for step in delivered)  # in order
+            assert delivered[-1] == steps[-1]
+            missing += len(steps) - len(delivered)
+        assert dropped == missing
+        if bound > len(values):
+            assert missing == 0
