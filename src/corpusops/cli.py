@@ -131,8 +131,19 @@ def cmd_dedup_near(args: argparse.Namespace) -> int:
         confirm_threshold=args.threshold,
         perm_seed=args.seed,
     )
+    # near_dedup needs unique ids: keep the first record of an id, and skip
+    # and report a later one by its line number.
+    first_line: dict[str, int] = {}
+
+    def parse(line: str, line_number: int) -> Document:
+        doc = parse_record(line, line_number)
+        first = first_line.setdefault(doc.id, line_number)
+        if first != line_number:
+            raise ValueError(f"duplicate id {doc.id!r}, first on line {first}")
+        return doc
+
     with _open_in(args.input) as src:
-        docs = list(read_records(src, on_error=_report_bad_line))
+        docs = list(read_rows(src, parse, on_error=_report_bad_line))
     stats = NearDupStats()
     kept, clusters = near_dedup(docs, config, stats)
     with _open_out(args.output) as dst:
@@ -243,11 +254,18 @@ def cmd_transform_topo(args: argparse.Namespace) -> int:
         order = topo_order(build_dep_graph(files), [f.path for f in files])
         by_path = {f.path: f for f in files}
         return {
-            "id": row.get("repo", "repo"),
+            "id": str(row["repo"]),
             "text": concat_repo([by_path[p] for p in order]),
         }
 
-    parse = _row_parser(concat, '"files" of {"path", "text"} objects')
+    def load(line: str, line_number: int) -> Any:
+        # A row without "repo" is named by its line, as parse_record does.
+        row = json.loads(line)
+        if isinstance(row, dict):
+            row.setdefault("repo", f"line-{line_number}")
+        return row
+
+    parse = _row_parser(concat, '"files" of {"path", "text"} objects', load=load)
     with _open_in(args.input) as src, _open_out(args.output) as dst:
         for row in read_rows(src, parse, on_error=_report_bad_line):
             _emit(row, dst)
@@ -354,7 +372,17 @@ def cmd_monitor(args: argparse.Namespace) -> int:
     from corpusops.runwatch import MetricPoint, MonitorConfig, run_monitor
 
     def point(row: dict) -> MetricPoint:
-        step, loss = int(row["step"]), float(row["loss"])
+        step, loss = row["step"], row["loss"]
+        # JSON numbers only: int() and float() would also take true or "7.5".
+        # The common types are tested first, so most rows convert nothing.
+        if type(step) is not int:
+            if type(step) is not float:
+                raise TypeError(f"step {step!r}")
+            step = int(step)
+        if type(loss) is not float:
+            if type(loss) is not int:
+                raise TypeError(f"loss {loss!r}")
+            loss = float(loss)
         if not math.isfinite(loss):
             raise ValueError(f'"loss" must be finite, got {loss}')
         return MetricPoint(step=step, value=loss)

@@ -94,9 +94,9 @@ def word_count(text: str) -> int:
 def parse_record(line: str, line_number: int) -> Document:
     """One wire line as a :class:`Document`; ``ValueError`` if malformed.
 
-    A ``text`` or ``id`` holding a lone surrogate (JSON allows
-    ``"\\ud800"``) is malformed: it cannot be hashed or written as UTF-8.
     ``line_number`` names the document when the record has no ``id``.
+    A lone surrogate in any field (JSON allows ``"\\ud800"``) is rejected
+    by :func:`read_rows` before this parse runs.
     """
     obj = json.loads(line)
     if not isinstance(obj, dict):
@@ -122,16 +122,6 @@ def parse_record(line: str, line_number: int) -> Document:
     doc_id = obj.get("id", f"line-{line_number}")
     if not isinstance(doc_id, str):
         doc_id = str(doc_id)
-
-    for key, value in (("id", doc_id), ("text", text)):
-        if not value.isascii():
-            try:
-                value.encode("utf-8")
-            except UnicodeEncodeError as exc:
-                raise ValueError(
-                    f'"{key}" cannot be encoded as UTF-8: {exc.reason} '
-                    f"at character {exc.start}"
-                ) from None
 
     timestamp = obj.get("timestamp")
     if timestamp is not None and not isinstance(timestamp, str):
@@ -164,6 +154,22 @@ def _check_utf8(line: str) -> None:
         ) from None
 
 
+def _check_escapes(line: str) -> None:
+    # A JSON escape such as "\ud800" decodes to a lone surrogate, which no
+    # command can write as UTF-8.  Every key and value is checked.
+    obj = json.loads(line)
+    for key, value in obj.items() if isinstance(obj, dict) else [("record", obj)]:
+        try:
+            if isinstance(value, str):
+                value.encode("utf-8")
+            json.dumps([key, value], ensure_ascii=False).encode("utf-8")
+        except UnicodeEncodeError as exc:
+            at = f" at character {exc.start}" if exc.object is value else ""
+            raise ValueError(
+                f"{json.dumps(key)} cannot be encoded as UTF-8: {exc.reason}{at}"
+            ) from None
+
+
 def read_rows(
     stream: IO[str] | Iterable[str],
     parse: Callable[[str, int], Row],
@@ -176,6 +182,9 @@ def read_rows(
     reading then continues with the next line.  So is a line that is not
     valid UTF-8: a stream decoded with ``errors="surrogateescape"`` turns
     each invalid byte into a lone surrogate, which UTF-8 cannot encode.
+    So is a line whose JSON escapes (``"\\ud800"``) decode to a lone
+    surrogate in any field; only lines containing ``\\u`` pay for that
+    check, and it runs before ``parse`` sees the line.
     The default handler logs a warning.
     """
     for line_number, line in enumerate(stream, start=1):
@@ -184,6 +193,8 @@ def read_rows(
         try:
             if not line.isascii():
                 _check_utf8(line)
+            if "\\u" in line:
+                _check_escapes(line)
             yield parse(line, line_number)
         except ValueError as exc:
             err = RecordError(line_number, str(exc), line.rstrip("\n"))

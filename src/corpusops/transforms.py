@@ -6,6 +6,9 @@
   :func:`concat_repo` turn a multi-file repository into one document with
   dependencies first.  Import detection is purely lexical (regular
   expressions per file extension), so commented-out imports count too.
+  Each pattern is searched from its literal keyword, which ``re`` finds
+  quickly, and its leading anchor (``^\\s*`` or ``\\b``) is checked in
+  Python; the names found are those ``re.finditer`` finds.
 * :func:`append_qa` appends question/answer blocks to a document.
 """
 
@@ -14,7 +17,7 @@ from __future__ import annotations
 import random
 import re
 from dataclasses import dataclass, field
-from typing import Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
 __all__ = [
     "DEFAULT_IMPORT_PATTERNS",
@@ -131,9 +134,64 @@ _EXTENSION_ALIASES = {
 
 
 def _extension(path: str) -> str:
-    name = path.rsplit("/", 1)[-1]
-    ext = name.rsplit(".", 1)[-1].lower() if "." in name else ""
+    dot = path.rfind(".")
+    if dot <= path.rfind("/"):  # the file name has no dot
+        return ""
+    ext = path[dot + 1:].lower()
     return _EXTENSION_ALIASES.get(ext, ext)
+
+
+def _at_line_start(text: str, start: int, pos: int) -> bool:
+    # ``^\s*`` (MULTILINE): only whitespace since the last "\n", and that
+    # line starts at or after the search position.
+    line = text.rfind("\n", 0, start) + 1
+    return line >= pos and (line == start or text[line:start].isspace())
+
+
+_PUB_PREFIX = re.compile(r"\s*(?:pub\s+)?")
+
+
+def _after_pub_prefix(text: str, start: int, pos: int) -> bool:
+    # ``^\s*(?:pub\s+)?``: the same line start, then an optional ``pub``.
+    line = text.rfind("\n", 0, start) + 1
+    return line >= pos and _PUB_PREFIX.fullmatch(text, line, start) is not None
+
+
+def _at_word_start(text: str, start: int, pos: int) -> bool:
+    # ``\b`` before a word character: the previous character is not ``\w``,
+    # which ``re`` defines as ``isalnum()`` or ``_`` in a str pattern.
+    if start == 0:
+        return True
+    before = text[start - 1]
+    return not (before.isalnum() or before == "_")
+
+
+# (anchor, its check, what the keyword after it must start with).  Longest
+# anchor first: ``^\s*`` is a prefix of the ``pub`` anchor.
+_ANCHORS = (
+    (r"^\s*(?:pub\s+)?", _after_pub_prefix, re.compile(r"[\w#]")),
+    (r"^\s*", _at_line_start, re.compile(r"[\w#]")),
+    (r"\b", _at_word_start, re.compile(r"\w")),
+)
+
+
+def _compile_import_pattern(
+    pattern: str,
+) -> tuple[re.Pattern[str], Callable[[str, int, int], bool]]:
+    """Split ``pattern`` into a regex that starts at its literal keyword and
+    a Python check of the anchor it dropped."""
+    for anchor, check, keyword_start in _ANCHORS:
+        rest = pattern[len(anchor):]
+        if pattern.startswith(anchor) and keyword_start.match(rest):
+            return re.compile(rest, re.MULTILINE), check
+    raise ValueError(f"import pattern {pattern!r} does not start with a known "
+                     "anchor followed by a literal keyword")
+
+
+_IMPORT_SCANNERS = {
+    ext: tuple(_compile_import_pattern(p) for p in patterns)
+    for ext, patterns in DEFAULT_IMPORT_PATTERNS.items()
+}
 
 
 def extract_imports(repo_file: RepoFile) -> list[str]:
@@ -142,14 +200,26 @@ def extract_imports(repo_file: RepoFile) -> list[str]:
     Matching is regex-only over the raw text, so imports inside comments
     or strings are included by design.  Unknown extensions yield an empty
     list rather than an error.
+
+    The result equals ``re.finditer`` of each pattern of
+    :data:`DEFAULT_IMPORT_PATTERNS` in turn (``re.MULTILINE``), but each
+    pattern is searched from its literal keyword, which ``re`` finds
+    quickly, and its leading anchor is checked in Python.  A rejected
+    candidate resumes the search one character later, an accepted one
+    at its end, so the matches are the same leftmost, non-overlapping ones.
     """
-    seen: list[str] = []
-    for pattern in DEFAULT_IMPORT_PATTERNS.get(_extension(repo_file.path), ()):
-        for match in re.finditer(pattern, repo_file.text, re.MULTILINE):
-            name = match.group(1)
-            if name not in seen:
-                seen.append(name)
-    return seen
+    text = repo_file.text
+    seen: dict[str, None] = {}
+    for keyword, anchored in _IMPORT_SCANNERS.get(_extension(repo_file.path), ()):
+        pos = 0
+        while (match := keyword.search(text, pos)) is not None:
+            start = match.start()
+            if anchored(text, start, pos):
+                seen[match.group(1)] = None
+                pos = match.end()
+            else:
+                pos = start + 1
+    return list(seen)
 
 
 @dataclass

@@ -350,6 +350,34 @@ def reconstruct_fim(transformed, config):
 
 
 # ---------------------------------------------------------------------------
+# Import extraction oracle: re.finditer of each pattern over the whole text,
+# and the extension split with str.rsplit, as extract_imports did before it
+# searched from the keyword
+
+
+def _reference_extension(path: str) -> str:
+    from corpusops.transforms import _EXTENSION_ALIASES
+
+    name = path.rsplit("/", 1)[-1]
+    ext = name.rsplit(".", 1)[-1].lower() if "." in name else ""
+    return _EXTENSION_ALIASES.get(ext, ext)
+
+
+def reference_extract_imports(repo_file) -> list[str]:
+    import re
+
+    from corpusops.transforms import DEFAULT_IMPORT_PATTERNS
+
+    seen: list[str] = []
+    for pattern in DEFAULT_IMPORT_PATTERNS.get(_reference_extension(repo_file.path), ()):
+        for match in re.finditer(pattern, repo_file.text, re.MULTILINE):
+            name = match.group(1)
+            if name not in seen:
+                seen.append(name)
+    return seen
+
+
+# ---------------------------------------------------------------------------
 # pass@k enumeration oracle
 
 

@@ -120,6 +120,22 @@ class TestDedupNearCli:
         assert rows == ['{"representative": "é1", "members": ["é1", "é2"], "size": 2}\n']
         assert err_file.splitlines() == [stats]
 
+    def test_repeated_id_is_skipped_and_reported(self, monkeypatch, capsys):
+        # The library raises on repeated ids; the CLI keeps the first record.
+        rows = [
+            {"id": "a", "text": " ".join(f"tok{i}" for i in range(60))},
+            {"id": "b", "text": " ".join(f"zzz{i}" for i in range(60))},
+            {"id": "a", "text": "a different document with the same id"},
+            {"text": "named by its line"},
+        ]
+        _, expected, _ = run_cli(["dedup-near"], records(*rows[:2], rows[3]), monkeypatch, capsys)
+        code, out, err = run_cli(["dedup-near"], records(*rows), monkeypatch, capsys)
+        assert code == 0
+        assert [d["id"] for d in parse_lines(out)] == ["a", "b", "line-4"]
+        assert parse_lines(out)[:2] == parse_lines(expected)[:2]
+        assert err.splitlines()[0] == "line 3: duplicate id 'a', first on line 1"
+        assert json.loads(err.splitlines()[-1])["documents"] == 3
+
     def test_negative_seed_exits_2(self, monkeypatch, capsys):
         stdin = records({"id": "a", "text": "hello world"})
         code, out, err = run_cli(["dedup-near", "--seed", "-1"], stdin, monkeypatch, capsys)
@@ -252,6 +268,18 @@ class TestTransformCli:
         assert [row["id"] for row in parse_lines(out)] == ["one", "two"]
         assert err.startswith("line 2: ") and len(err.splitlines()) == 1
 
+    def test_topo_ids_are_strings_named_by_line_without_repo(self, monkeypatch, capsys):
+        files = [{"path": "a.py", "text": "A = 1\n"}]
+        stdin = records({"files": files}, {"repo": 5, "files": files},
+                        {"files": files}, {"repo": "r", "files": files})
+        code, out, _ = run_cli(["transform", "topo"], stdin, monkeypatch, capsys)
+        assert code == 0
+        assert [row["id"] for row in parse_lines(out)] == ["line-1", "5", "line-3", "r"]
+        # Unique ids let the rows go on through near dedup.
+        code, _, err = run_cli(["dedup-near"], out, monkeypatch, capsys)
+        assert code == 0, err
+        assert json.loads(err.splitlines()[-1])["documents"] == 4
+
     def test_qa_appends_pairs(self, monkeypatch, capsys):
         stdin = records(
             {"id": "d", "text": "Body.", "qa": [{"q": "Q1?", "a": "A1."}]}
@@ -364,6 +392,10 @@ class TestMonitorCli:
             '{"step": 5, "loss": NaN}',
             '{"step": 5, "loss": Infinity}',
             '{"step": 5, "loss": 1e999}',
+            '{"step": true, "loss": true}',
+            '{"step": 5, "loss": "7.5"}',
+            '{"step": "5", "loss": 7.5}',
+            '{"step": 5, "loss": false}',
         ],
     )
     def test_bad_line_is_skipped_and_reported(self, garbage, monkeypatch, capsys):
@@ -553,6 +585,62 @@ class TestErrorPaths:
         reports = [line for line in err.splitlines() if line.startswith("line ")]
         assert reports == ['line 2: "text" cannot be encoded as UTF-8: '
                            "surrogates not allowed at character 4"]
+
+    DOC = {"id": "a", "text": "the first good document"}
+    DOC2 = {"id": "c", "text": "another good document here"}
+    LOSSES = [{"step": 1030 + i, "loss": v}
+              for i, v in enumerate([1.0] * 20 + [5.0] * 8 + [1.0] * 10)]
+
+    # command -> argv with "{path}" for the input file, good rows, a row with
+    # a lone surrogate outside "text" and "id", and the report it gets.
+    SURROGATE_CASES = {
+        "dedup-exact": (["dedup-exact", "--capacity", "10", "-i", "{path}"],
+                        [DOC, DOC2], {"id": "b", "text": "x", "meta": "\ud800"},
+                        '"meta" cannot be encoded as UTF-8: surrogates not allowed at character 0'),
+        "dedup-near": (["dedup-near", "-i", "{path}"], [DOC, DOC2],
+                       {"id": "b", "text": "x", "timestamp": "2024-\udc00"},
+                       '"timestamp" cannot be encoded as UTF-8: surrogates not allowed '
+                       "at character 5"),
+        "fim": (["transform", "fim", "--seed", "3", "-i", "{path}"], [DOC, DOC2],
+                {"id": "b", "text": "x", "meta": {"deep": ["\ud800"]}},
+                '"meta" cannot be encoded as UTF-8: surrogates not allowed'),
+        "qa": (["transform", "qa", "-i", "{path}"], [DOC, DOC2],
+               {"id": "b", "text": "x", "qa": [{"q": "\ud800", "a": "y"}]},
+               '"qa" cannot be encoded as UTF-8: surrogates not allowed'),
+        "topo": (["transform", "topo", "-i", "{path}"],
+                 [{"repo": "r", "files": [{"path": "a.py", "text": "A = 1\n"}]}],
+                 {"repo": "s", "files": [{"path": "a.py", "text": "\ud800"}]},
+                 '"files" cannot be encoded as UTF-8: surrogates not allowed'),
+        "pack": (["pack", "--capacity", "8", "-i", "{path}"], [DOC, DOC2],
+                 {"id": "b", "text": "x", "\ud800": 1},
+                 '"\\ud800" cannot be encoded as UTF-8: surrogates not allowed'),
+        "mix": (["mix", "--stats", "{path}"], [{"group": "g", "tokens": 10, "bucket": "1"}],
+                {"group": "\ud800", "tokens": 5, "bucket": "1"},
+                '"group" cannot be encoded as UTF-8: surrogates not allowed at character 0'),
+        "monitor": (["monitor", "--total-steps", "2000", "--alert", "3,2.0,3.0",
+                     "--restart", "5,2.5,4.0", "--interval", "500", "-i", "{path}"],
+                    LOSSES, {"step": 1031, "loss": 1.0, "note": "\udfff"},
+                    '"note" cannot be encoded as UTF-8: surrogates not allowed at character 0'),
+        "mem": (["evalstats", "mem", "--pairs", "{path}"],
+                [{"reference": "Same.", "generated": "Same."}],
+                {"reference": "\ud800", "generated": "x"},
+                '"reference" cannot be encoded as UTF-8: surrogates not allowed at character 0'),
+    }
+
+    @pytest.mark.parametrize("command", sorted(SURROGATE_CASES))
+    def test_lone_surrogate_in_any_field_is_skipped_and_reported(self, command, tmp_path,
+                                                               monkeypatch, capsys):
+        argv, good, bad, report = self.SURROGATE_CASES[command]
+        path = tmp_path / "in.jsonl"
+        path.write_text(records(*good))
+        _, expected, _ = run_cli([a.format(path=path) for a in argv], "", monkeypatch, capsys)
+        path.write_text(records(good[0], bad, *good[1:]))
+        code, out, err = run_cli([a.format(path=path) for a in argv], "", monkeypatch, capsys)
+        assert code == 0, err
+        assert out == expected and out
+        assert [line for line in err.splitlines() if line.startswith("line ")] == [
+            f"line 2: {report}"
+        ]
 
     @pytest.mark.parametrize("source", ["file", "stdin"])
     @pytest.mark.parametrize(

@@ -1,10 +1,12 @@
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from corpusops import transforms
 from corpusops.transforms import (
+    DEFAULT_IMPORT_PATTERNS,
     DepGraph,
     FimConfig,
     RepoFile,
@@ -17,6 +19,7 @@ from corpusops.transforms import (
 )
 
 from helpers import reconstruct_fim as _reconstruct_fim
+from helpers import _reference_extension, reference_extract_imports
 
 CFG = FimConfig()
 
@@ -120,6 +123,79 @@ class TestExtractImports:
     )
     def test_language_defaults(self, path, text, expected):
         assert extract_imports(RepoFile(path, text)) == expected
+
+
+# Every character str.isspace() accepts below U+3000 that the tests name,
+# including the ones only Unicode counts as whitespace.
+WHITESPACE = [" ", "\t", "\n", "\r\n", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e",
+              "\x1f", "\x85", "\xa0", "\u1680", "\u2000", "\u2028", "\u3000"]
+EXTENSIONS = sorted(set(DEFAULT_IMPORT_PATTERNS) | set(transforms._EXTENSION_ALIASES))
+# Import statements of every language, "{n}" a name and " " any whitespace.
+STATEMENTS = [
+    "import {n}", "from {n} import {n}", "import {n} from '{n}'", "import '{n}'",
+    'import {{{n}}} from "{n}";', "require('{n}')", 'require( "{n}" )',
+    '#include "{n}"', '# include"{n}"', "import static {n};", "import {n};",
+    'import "{n}"', "require '{n}'", "require_relative \"{n}\"",
+    "pub mod {n};", "mod {n} ;", "use crate::{n}", "use crate::{n}::x;",
+]
+NAMES = ["a", "b.c", "./d", "é", "_x1", "m2", "a/b.h", ""]
+JUNK = ["x", "é", "_", "1", "re", "pub", "static", "crate::", "'", '"', ";", "(",
+        ")", "#", "//", "import", "from", "mod", "use", "require", ".", "/"]
+
+
+@st.composite
+def import_texts(draw):
+    lines = []
+    for _ in range(draw(st.integers(0, 6))):
+        statement = draw(st.sampled_from(STATEMENTS))
+        statement = statement.replace(" ", draw(st.sampled_from(WHITESPACE)))
+        while "{n}" in statement:
+            statement = statement.replace("{n}", draw(st.sampled_from(NAMES)), 1)
+        before = draw(st.lists(st.sampled_from(WHITESPACE + JUNK), max_size=3))
+        after = draw(st.lists(st.sampled_from(WHITESPACE + JUNK), max_size=3))
+        lines.append("".join(before) + statement + "".join(after))
+        lines.append(draw(st.sampled_from(["\n", "\r\n", "", " ", "; ", "\n\n"])))
+    return "".join(lines)
+
+
+class TestExtractImportsMatchesFinditer:
+    """The keyword-first scan returns what re.finditer of each pattern did."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(path=st.text(alphabet="./aPpYy", max_size=8))
+    @example(path="")
+    @example(path="py")
+    @example(path=".py")
+    @example(path="a.b/py")
+    @example(path="a/b.PY")
+    @example(path="a.")
+    def test_extension_as_rsplit_finds_it(self, path):
+        assert transforms._extension(path) == _reference_extension(path)
+
+    @settings(max_examples=400, deadline=None)
+    @given(ext=st.sampled_from(EXTENSIONS + ["PY", "Ts", "txt"]), text=import_texts())
+    @example(ext="py", text="reimport x")
+    @example(ext="py", text="import a import b")
+    @example(ext="js", text="x; import y")
+    @example(ext="js", text="x; import y from 'z'")
+    @example(ext="rs", text="  pub  mod m;")
+    @example(ext="c", text='\x0c#include "a.h"')
+    @example(ext="c", text='#include "a.h"#include "b.h"')
+    @example(ext="js", text="require('a')require('b')")
+    @example(ext="rs", text="use crate::a use crate::b")
+    @example(ext="py", text="import a\n\n  \x85import b")
+    @example(ext="rs", text="pub\nmod m;\npub mod mod n;")
+    @example(ext="js", text="éimport 'a'; _require('b'); 1import 'c'")
+    def test_same_names_as_finditer(self, ext, text):
+        repo_file = RepoFile(f"src/file.{ext}", text)
+        assert extract_imports(repo_file) == reference_extract_imports(repo_file)
+
+    @pytest.mark.parametrize(
+        "pattern", [r"import\s+(\w+)", r"(?m)^import (\w+)", r"^\s*\s*import", r"\b#x"]
+    )
+    def test_pattern_without_a_known_anchor_fails(self, pattern):
+        with pytest.raises(ValueError, match="known anchor"):
+            transforms._compile_import_pattern(pattern)
 
 
 def chain_graph(*paths):
