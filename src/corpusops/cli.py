@@ -31,6 +31,7 @@ from corpusops import __version__
 from corpusops.corpus import (
     Document,
     SourceClass,
+    decode_line,
     parse_record,
     read_records,
     read_rows,
@@ -81,13 +82,13 @@ def _row_parser(
 ) -> Callable[[str, int], Any]:
     """A :func:`read_rows` parse function: ``build`` over each loaded line.
 
-    Lines load as JSON unless ``load`` is given.  A missing key, a wrong
-    shape or an infinite number in ``build`` becomes a ``ValueError``
-    naming what the record needs.
+    Lines load with :func:`~corpusops.corpus.decode_line` unless ``load``
+    is given.  A missing key, a wrong shape or an infinite number in
+    ``build`` becomes a ``ValueError`` naming what the record needs.
     """
 
     def parse(line: str, line_number: int) -> Any:
-        row = json.loads(line) if load is None else load(line, line_number)
+        row = decode_line(line) if load is None else load(line, line_number)
         try:
             return build(row)
         except (KeyError, TypeError, OverflowError) as exc:
@@ -259,10 +260,11 @@ def cmd_transform_topo(args: argparse.Namespace) -> int:
         }
 
     def load(line: str, line_number: int) -> Any:
-        # A row without "repo" is named by its line, as parse_record does.
-        row = json.loads(line)
-        if isinstance(row, dict):
-            row.setdefault("repo", f"line-{line_number}")
+        # A row without "repo", or with a null one, is named by its line,
+        # as parse_record does.
+        row = decode_line(line)
+        if isinstance(row, dict) and row.get("repo") is None:
+            row["repo"] = f"line-{line_number}"
         return row
 
     parse = _row_parser(concat, '"files" of {"path", "text"} objects', load=load)
@@ -385,7 +387,7 @@ def cmd_monitor(args: argparse.Namespace) -> int:
             loss = float(loss)
         if not math.isfinite(loss):
             raise ValueError(f'"loss" must be finite, got {loss}')
-        return MetricPoint(step=step, value=loss)
+        return MetricPoint(step, loss)
 
     parse = _row_parser(point, 'numeric "step" and "loss"')
     config = MonitorConfig(

@@ -22,6 +22,7 @@ __all__ = [
     "RecordError",
     "RecordWriteError",
     "SourceClass",
+    "decode_line",
     "document_to_json",
     "parse_record",
     "read_records",
@@ -31,6 +32,9 @@ __all__ = [
 ]
 
 _KNOWN_KEYS = ("id", "text", "source_class", "dup_count", "curated", "timestamp")
+
+_LINE_ENDS = ("\n", "\r\n")
+_raw_decode = json.JSONDecoder().raw_decode
 
 Row = TypeVar("Row")
 
@@ -91,14 +95,33 @@ def word_count(text: str) -> int:
     return len(text.split())
 
 
+def decode_line(line: str) -> Any:
+    """The JSON value of one wire line: ``json.loads(line)``, but cheaper.
+
+    A line that holds one value with nothing but its ``"\\n"`` or
+    ``"\\r\\n"`` after it (the common case) is decoded by the C scanner
+    alone, without ``json.loads``'s Python wrapper.  Every other line,
+    including one that does not decode, goes to ``json.loads``, so the
+    value or the ``ValueError`` (``json.JSONDecodeError``) is exactly
+    json's.
+    """
+    try:
+        obj, end = _raw_decode(line)
+    except ValueError:
+        return json.loads(line)
+    if end == len(line) or line[end:] in _LINE_ENDS:
+        return obj
+    return json.loads(line)
+
+
 def parse_record(line: str, line_number: int) -> Document:
     """One wire line as a :class:`Document`; ``ValueError`` if malformed.
 
-    ``line_number`` names the document when the record has no ``id``.
-    A lone surrogate in any field (JSON allows ``"\\ud800"``) is rejected
-    by :func:`read_rows` before this parse runs.
+    ``line_number`` names the document when its ``id`` is missing or
+    ``null``.  A lone surrogate in any field (JSON allows ``"\\ud800"``)
+    is rejected by :func:`read_rows` before this parse runs.
     """
-    obj = json.loads(line)
+    obj = decode_line(line)
     if not isinstance(obj, dict):
         raise ValueError("record is not a JSON object")
     if "text" not in obj:
@@ -118,9 +141,11 @@ def parse_record(line: str, line_number: int) -> Document:
         raise ValueError('"dup_count" must be an integer')
 
     # id is recognized but optional on the wire; synthesize a per-shard
-    # unique one from the line number when absent.
-    doc_id = obj.get("id", f"line-{line_number}")
-    if not isinstance(doc_id, str):
+    # unique one from the line number when absent or null.
+    doc_id = obj.get("id")
+    if doc_id is None:
+        doc_id = f"line-{line_number}"
+    elif not isinstance(doc_id, str):
         doc_id = str(doc_id)
 
     timestamp = obj.get("timestamp")
@@ -157,7 +182,7 @@ def _check_utf8(line: str) -> None:
 def _check_escapes(line: str) -> None:
     # A JSON escape such as "\ud800" decodes to a lone surrogate, which no
     # command can write as UTF-8.  Every key and value is checked.
-    obj = json.loads(line)
+    obj = decode_line(line)
     for key, value in obj.items() if isinstance(obj, dict) else [("record", obj)]:
         try:
             if isinstance(value, str):

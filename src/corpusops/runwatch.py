@@ -16,6 +16,13 @@ stricter thresholds) emits level-two events carrying the rollback step
 are edge-triggered: once fired, the tier re-arms only after its window
 clears below the thresholds.
 
+Metric readings are :class:`MetricPoint` named tuples, so a point
+compares equal to a plain ``(step, value)`` tuple.  The z-score is read
+only with an event, so :func:`run_monitor` keeps the rolling median up
+to date at every step but brings the MAD up to date only at a step where
+a tier fires (see :class:`RollingMedianMad`); events are the same as
+with a MAD updated at every step.
+
 Events can be POSTed to a webhook.  Delivery is asynchronous: one daemon
 worker thread, started by the first event, posts them in order from a
 queue of at most ``WEBHOOK_QUEUE_BOUND`` events, so a slow or dead
@@ -36,7 +43,7 @@ from collections import deque
 from dataclasses import dataclass
 from itertools import islice
 from math import isfinite
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 __all__ = [
     "DetectorTier",
@@ -56,8 +63,9 @@ _MAD_FLOOR = 1e-8  # keeps a locally constant series from dividing by zero
 _SPIKE_Z = 5.0  # spike_score flags a z-score above this
 
 
-@dataclass(frozen=True)
-class MetricPoint:
+class MetricPoint(NamedTuple):
+    """One metric reading; a tuple, so it compares equal to ``(step, value)``."""
+
     step: int
     value: float
 
@@ -100,32 +108,13 @@ class MonitorConfig:
         return max(1, round(self.z_window_fraction * self.total_steps))
 
 
-class _SortedWindow:
-    """Fixed-capacity trailing window with O(log w) median access."""
-
-    def __init__(self, width: int):
-        self.width = width
-        self._fifo: deque[float] = deque()
-        self._sorted: list[float] = []
-
-    def push(self, value: float) -> None:
-        self._fifo.append(value)
-        insort(self._sorted, value)
-        if len(self._fifo) > self.width:
-            oldest = self._fifo.popleft()
-            del self._sorted[bisect_left(self._sorted, oldest)]
-
-    def __len__(self) -> int:
-        return len(self._fifo)
-
-    def median(self) -> float:
-        values = self._sorted
-        if not values:
-            raise ValueError("median of an empty window")
-        mid = len(values) // 2
-        if len(values) % 2:
-            return values[mid]
-        return (values[mid - 1] + values[mid]) / 2
+def _median(ordered: list[float]) -> float:
+    if not ordered:
+        raise ValueError("median of an empty window")
+    mid = len(ordered) // 2
+    if len(ordered) % 2:
+        return ordered[mid]
+    return (ordered[mid - 1] + ordered[mid]) / 2
 
 
 class RollingMedianMad:
@@ -134,20 +123,64 @@ class RollingMedianMad:
     For each pushed value y_t this tracks m_t (median of the trailing
     window of values) and mad_t (median over the same trailing window of
     |y_s - m_s|, where m_s is the rolling median as it was at step s).
+
+    The median is kept up to date at every push.  The MAD is lazy: a push
+    only queues its deviation, and :meth:`mad` brings the sorted view of
+    the deviation window up to date when it is called.  Fewer than
+    ``window`` queued deviations are replayed one by one (evict the
+    oldest, insert the new one), as an eager update would have done at
+    each push; otherwise the queue holds exactly the last ``window``
+    deviations, and they are sorted once.  So a caller that reads the MAD
+    at every step pays what the eager update paid, and one that reads it
+    rarely pays at most one sort per read.
     """
 
     def __init__(self, window: int):
         if window < 1:
             raise ValueError(f"window must be >= 1, got {window}")
         self.window = window
-        self._values = _SortedWindow(window)
-        self._deviations = _SortedWindow(window)
+        # Each window is a deque, oldest first, beside a sorted list of
+        # the same values.  _deviations is the window _sorted_deviations
+        # holds; _pending has the deviations pushed since (the last
+        # ``window`` of them).
+        self._values: deque[float] = deque(maxlen=window)
+        self._sorted_values: list[float] = []
+        self._deviations: deque[float] = deque(maxlen=window)
+        self._sorted_deviations: list[float] = []
+        self._pending: deque[float] = deque(maxlen=window)
+
+    def push_median(self, value: float) -> float:
+        """Push ``value``; return the rolling median m_t."""
+        values, ordered = self._values, self._sorted_values
+        if len(values) == self.window:
+            del ordered[bisect_left(ordered, values[0])]
+        values.append(value)  # drops values[0] when full
+        insort(ordered, value)
+        median = _median(ordered)
+        self._pending.append(abs(value - median))
+        return median
+
+    def mad(self) -> float:
+        """mad_t as of the last push; ``ValueError`` before the first."""
+        pending = self._pending
+        if len(pending) == self.window:
+            self._sorted_deviations = sorted(pending)
+            self._deviations, self._pending = pending, self._deviations
+            self._pending.clear()
+        elif pending:
+            window, ordered = self._deviations, self._sorted_deviations
+            for deviation in pending:
+                if len(window) == self.window:
+                    del ordered[bisect_left(ordered, window[0])]
+                window.append(deviation)
+                insort(ordered, deviation)
+            pending.clear()
+        return _median(self._sorted_deviations)
 
     def push(self, value: float) -> tuple[float, float]:
-        self._values.push(value)
-        median = self._values.median()
-        self._deviations.push(abs(value - median))
-        return median, self._deviations.median()
+        """Push ``value``; return ``(m_t, mad_t)``."""
+        median = self.push_median(value)
+        return median, self.mad()
 
 
 def rolling_median_mad(series: Sequence[float], window: int) -> tuple[float, float]:
@@ -159,8 +192,8 @@ def rolling_median_mad(series: Sequence[float], window: int) -> tuple[float, flo
         raise ValueError("empty window")
     tracker = RollingMedianMad(window)
     for value in series:
-        median, mad = tracker.push(value)
-    return median, mad
+        median = tracker.push_median(value)
+    return median, tracker.mad()
 
 
 def spike_score(series: Sequence[float], window: int) -> tuple[float, bool]:
@@ -348,13 +381,17 @@ def run_monitor(
     last value above ``t_max``.  A window of ``w`` values has its minimum
     above ``t_min`` iff that run is at least ``w`` long, and its maximum
     above ``t_max`` iff that index lies inside it, so the tier fires
-    exactly when :func:`detect` does.
+    exactly when :func:`detect` does.  The MAD behind ``z`` is brought
+    up to date only at a step where a tier fires (see
+    :class:`RollingMedianMad`).
     """
     alert_w, alert_lo, alert_hi = config.alert.window, config.alert.t_min, config.alert.t_max
     restart_w, restart_lo, restart_hi = (
         config.restart.window, config.restart.t_min, config.restart.t_max
     )
     scorer = RollingMedianMad(config.z_window)
+    push_median, mad = scorer.push_median, scorer.mad
+    mad_floor = config.mad_floor
     recent: deque[float] = deque(maxlen=max(alert_w, restart_w))
     alert_run = restart_run = 0  # trailing values above t_min
     alert_peak = restart_peak = -recent.maxlen  # index of the last value above t_max
@@ -373,7 +410,7 @@ def run_monitor(
                 raise ValueError(f"metric value at step {step} is not finite: {value}")
             last_step = step
 
-            median, mad = scorer.push(value)
+            median = push_median(value)
             recent.append(value)
             alert_run = alert_run + 1 if value > alert_lo else 0
             restart_run = restart_run + 1 if value > restart_lo else 0
@@ -383,7 +420,7 @@ def run_monitor(
                 restart_peak = index
 
             if alert_run >= alert_w and index - alert_peak < alert_w:
-                z = (value - median) / (MAD_TO_SIGMA * max(mad, config.mad_floor))
+                z = (value - median) / (MAD_TO_SIGMA * max(mad(), mad_floor))
                 event = _window_event(1, step, recent, alert_w, z)
                 if webhook is not None:
                     webhook.put(event)
@@ -391,7 +428,7 @@ def run_monitor(
 
             if restart_run >= restart_w and index - restart_peak < restart_w:
                 if restart_armed:
-                    z = (value - median) / (MAD_TO_SIGMA * max(mad, config.mad_floor))
+                    z = (value - median) / (MAD_TO_SIGMA * max(mad(), mad_floor))
                     rollback = rollback_step(step, config.checkpoint_interval)
                     event = _window_event(2, step, recent, restart_w, z, rollback)
                     restart_armed = False

@@ -49,6 +49,12 @@ class TestDedupExactCli:
         }
         assert "warning" not in err
 
+    def test_null_id_is_named_by_its_line(self, monkeypatch, capsys):
+        stdin = records({"id": None, "text": "one text"}, {"id": None, "text": "another"})
+        code, out, _ = run_cli(["dedup-exact", "--capacity", "100"], stdin, monkeypatch, capsys)
+        assert code == 0
+        assert [d["id"] for d in parse_lines(out)] == ["line-1", "line-2"]
+
     def test_capacity_overflow_warns_once(self, monkeypatch, capsys):
         stdin = records(*({"id": f"d{i}", "text": f"document number {i}"} for i in range(6000)))
         code, out, err = run_cli(
@@ -134,6 +140,18 @@ class TestDedupNearCli:
         assert [d["id"] for d in parse_lines(out)] == ["a", "b", "line-4"]
         assert parse_lines(out)[:2] == parse_lines(expected)[:2]
         assert err.splitlines()[0] == "line 3: duplicate id 'a', first on line 1"
+        assert json.loads(err.splitlines()[-1])["documents"] == 3
+
+    def test_null_ids_are_named_by_their_line(self, monkeypatch, capsys):
+        rows = [
+            {"id": None, "text": " ".join(f"tok{i}" for i in range(60))},
+            {"id": None, "text": " ".join(f"zzz{i}" for i in range(60))},
+            {"id": "None", "text": " ".join(f"qqq{i}" for i in range(60))},
+        ]
+        code, out, err = run_cli(["dedup-near"], records(*rows), monkeypatch, capsys)
+        assert code == 0
+        assert [d["id"] for d in parse_lines(out)] == ["line-1", "line-2", "None"]
+        assert "duplicate id" not in err
         assert json.loads(err.splitlines()[-1])["documents"] == 3
 
     def test_negative_seed_exits_2(self, monkeypatch, capsys):
@@ -271,14 +289,15 @@ class TestTransformCli:
     def test_topo_ids_are_strings_named_by_line_without_repo(self, monkeypatch, capsys):
         files = [{"path": "a.py", "text": "A = 1\n"}]
         stdin = records({"files": files}, {"repo": 5, "files": files},
-                        {"files": files}, {"repo": "r", "files": files})
+                        {"files": files}, {"repo": "r", "files": files},
+                        {"repo": None, "files": files})
         code, out, _ = run_cli(["transform", "topo"], stdin, monkeypatch, capsys)
         assert code == 0
-        assert [row["id"] for row in parse_lines(out)] == ["line-1", "5", "line-3", "r"]
+        assert [row["id"] for row in parse_lines(out)] == ["line-1", "5", "line-3", "r", "line-5"]
         # Unique ids let the rows go on through near dedup.
         code, _, err = run_cli(["dedup-near"], out, monkeypatch, capsys)
         assert code == 0, err
-        assert json.loads(err.splitlines()[-1])["documents"] == 4
+        assert json.loads(err.splitlines()[-1])["documents"] == 5
 
     def test_qa_appends_pairs(self, monkeypatch, capsys):
         stdin = records(

@@ -9,6 +9,7 @@ from corpusops.corpus import (
     Document,
     RecordWriteError,
     SourceClass,
+    decode_line,
     read_records,
     word_count,
     write_records,
@@ -55,8 +56,8 @@ class TestReadRecords:
         assert "source_class" in errors[0].message
 
     def test_missing_id_synthesized_from_line_number(self):
-        docs = read_all('{"text":"x"}\n\n{"text":"y"}\n')
-        assert [d.id for d in docs] == ["line-1", "line-3"]
+        docs = read_all('{"text":"x"}\n\n{"text":"y"}\n{"id":null,"text":"z"}\n')
+        assert [d.id for d in docs] == ["line-1", "line-3", "line-4"]
 
     def test_unknown_keys_preserved_in_extra(self):
         docs = read_all('{"id":"a","text":"x","meta":{"src":"cc"},"lang":"en"}\n')
@@ -142,6 +143,58 @@ def test_serialization_round_trip(docs):
     buf = io.StringIO()
     write_records(docs, buf)
     assert list(read_records(io.StringIO(buf.getvalue()))) == docs
+
+
+_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8),
+    lambda children: st.lists(children, max_size=3)
+    | st.dictionaries(st.text(max_size=4), children, max_size=3),
+    max_leaves=8,
+)
+# JSON whitespace, and characters that str.isspace() takes but JSON does not.
+_BLANKS = st.text(st.sampled_from(" \t\r\n\x0c\xa0\u2028"), max_size=3)
+
+
+@st.composite
+def wire_lines(draw):
+    """One JSON value as a line, then perhaps damaged in one of many ways."""
+    separators = (draw(_BLANKS) + "," + draw(_BLANKS), draw(_BLANKS) + ":" + draw(_BLANKS))
+    body = json.dumps(
+        draw(_JSON_VALUES), ensure_ascii=draw(st.booleans()), separators=separators
+    )
+    head = draw(st.sampled_from(["", "\ufeff", " ", "\n"]) | _BLANKS)
+    tail = draw(
+        st.sampled_from(["", "\n", "\r\n", " \n", "\n\n", "\r", "{}", " 1\n", "]\n", "x"])
+        | _BLANKS
+    )
+    line = head + body + tail
+    if draw(st.booleans()):
+        line = line[: draw(st.integers(min_value=0, max_value=len(line)))]
+    return line
+
+
+def _outcome(decode, line):
+    try:
+        return "value", repr(decode(line))
+    except ValueError as exc:
+        return type(exc), str(exc)
+
+
+@given(wire_lines())
+@settings(max_examples=600, deadline=None)
+def test_decode_line_matches_json_loads(line):
+    # The same value (repr tells -0.0 from 0.0), or the same error class
+    # and message, error position included.
+    assert _outcome(decode_line, line) == _outcome(json.loads, line)
+
+
+@pytest.mark.parametrize(
+    "line",
+    ["", "\n", "\r\n", "   \n", '{"a": 1}\r\n', '\ufeff{"a": 1}\n', '{"a": 1} {"b": 2}\n',
+     '{"a": 1}\n\n', '{"a": [1, 2', "NaN\n", '"\\ud800"\n', "1e999\n"],
+)
+def test_decode_line_matches_json_loads_on_named_lines(line):
+    assert _outcome(decode_line, line) == _outcome(json.loads, line)
 
 
 class TestWordCount:

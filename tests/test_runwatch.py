@@ -19,6 +19,7 @@ from corpusops.runwatch import (
     DetectorTier,
     MetricPoint,
     MonitorConfig,
+    RollingMedianMad,
     detect,
     rollback_step,
     rolling_median_mad,
@@ -71,6 +72,124 @@ class TestRollingMedianMad:
         median, mad = rolling_median_mad(series, window)
         assert median == reference[-1][0]
         assert mad == reference[-1][1]
+
+
+    @given(
+        st.lists(st.floats(min_value=-100, max_value=100, allow_nan=False), min_size=1, max_size=80),
+        st.integers(min_value=1, max_value=12),
+        st.sets(st.integers(min_value=0, max_value=79)),
+    )
+    @example([0.0, 1.0, 5.0, 2.0, 2.0, 7.0, 1.0], 2, {1, 6})
+    @example([0.0, 1.0, 5.0, 2.0, 2.0, 7.0, 1.0], 3, {2, 3, 6})
+    @settings(max_examples=200, deadline=None)
+    def test_lazy_mad_read_at_any_steps_matches_reference(self, series, window, reads):
+        # A read after fewer than `window` pushes replays them; after more,
+        # it sorts the last `window` deviations.
+        reference = reference_spike_scores(series, window, mad_floor=1e-8)
+        tracker = RollingMedianMad(window)
+        for t, value in enumerate(series):
+            assert tracker.push_median(value) == reference[t][0]
+            if t in reads:
+                assert tracker.mad() == reference[t][1]
+        assert tracker.mad() == reference[-1][1]
+        assert tracker.push(0.5) == reference_spike_scores(series + [0.5], window, 1e-8)[-1][:2]
+
+    def test_mad_before_any_push_errors(self):
+        with pytest.raises(ValueError, match="empty window"):
+            RollingMedianMad(3).mad()
+
+
+class TestLazyMadWork:
+    """How much sorting run_monitor asks of the rolling MAD.
+
+    Work is counted as the elements handed to ``sorted`` and ``insort`` in
+    runwatch: n for a sort of n values, one per insort.  Updating both
+    sorted windows at every step, as the eager MAD did, costs two insorts
+    per step.
+    """
+
+    @pytest.fixture
+    def work(self, monkeypatch):
+        counts = {"sorts": 0, "sorted": 0, "insorts": 0}
+        insort = runwatch.insort
+
+        def counting_sorted(values):
+            values = list(values)
+            counts["sorts"] += 1
+            counts["sorted"] += len(values)
+            return sorted(values)
+
+        def counting_insort(ordered, value):
+            counts["insorts"] += 1
+            insort(ordered, value)
+
+        monkeypatch.setattr(runwatch, "sorted", counting_sorted, raising=False)
+        monkeypatch.setattr(runwatch, "insort", counting_insort)
+        return counts
+
+    @staticmethod
+    def series_and_config(values, window):
+        points = stream(values)
+        cfg = config(total_steps=window, z_window_fraction=1.0)
+        assert cfg.z_window == window
+        return points, cfg
+
+    @pytest.mark.parametrize("window", [1, 2, 3, 8, 51, 150, 400])
+    def test_every_step_firing_costs_what_the_eager_update_did(self, window, work):
+        # A diverged run: every value is far above both tiers, so the alert
+        # tier fires at every step from its third on and mad() is read there.
+        rng = random.Random(window)
+        values = [7.0 + rng.gauss(0, 0.3) for _ in range(1200)]
+        points, cfg = self.series_and_config(values, window)
+        events = list(run_monitor(points, cfg))
+        assert sum(e.tier == 1 for e in events) == len(values) - ALERT.window + 1
+        eager = 2 * len(values)
+        assert work["insorts"] + work["sorted"] <= eager + window
+        assert [e.to_json() for e in events] == [
+            e.to_json() for e in reference_monitor_events(points, cfg)
+        ]
+
+    @pytest.mark.parametrize("window", [1, 2, 7, 50, 51])
+    def test_sparse_firing_sorts_at_most_once_per_burst(self, window, work):
+        rng = random.Random(100 + window)
+        values = [1.0 + rng.gauss(0, 0.05) for _ in range(1500)]
+        for start, level, width in [(10, 3.5, 6), (300, 4.5, 9), (302 + window, 3.5, 4),
+                                    (900, 3.5, 7), (1494, 4.5, 6)]:
+            values[start : start + width] = [level] * width
+        points, cfg = self.series_and_config(values, window)
+        events = list(run_monitor(points, cfg))
+        steps = sorted({e.step for e in events})
+        bursts = [s for s in steps if s - 1 not in steps]
+        assert len(bursts) >= 4
+        # mad() runs only where a tier fires: one insort per step for the
+        # median, at most one sort per burst, and replays within a burst.
+        # A window of one sorts its one pending deviation at every read.
+        assert work["sorts"] <= (len(steps) if window == 1 else len(bursts))
+        assert work["insorts"] + work["sorted"] <= len(values) + len(bursts) * window + len(steps)
+        assert [e.to_json() for e in events] == [
+            e.to_json() for e in reference_monitor_events(points, cfg)
+        ]
+
+    def test_warm_up_only_reads_replay(self, work):
+        # Fewer values than the window: every read replays what is pending.
+        values = [1.0, 7.0, 7.5, 7.2, 7.9, 1.0, 1.0, 7.0, 7.0, 7.0]
+        points, cfg = self.series_and_config(values, 40)
+        events = list(run_monitor(points, cfg))
+        assert events
+        assert work["sorts"] == 0
+        assert work["insorts"] <= 2 * len(values)
+        assert [e.to_json() for e in events] == [
+            e.to_json() for e in reference_monitor_events(points, cfg)
+        ]
+
+
+class TestMetricPoint:
+    def test_is_an_immutable_tuple(self):
+        point = MetricPoint(3, 2.5)
+        assert point == MetricPoint(step=3, value=2.5) == (3, 2.5)
+        assert (point.step, point.value) == (3, 2.5)
+        with pytest.raises(AttributeError):
+            point.step = 4
 
 
 class TestSpikeScore:
