@@ -17,11 +17,12 @@ are edge-triggered: once fired, the tier re-arms only after its window
 clears below the thresholds.
 
 Metric readings are :class:`MetricPoint` named tuples, so a point
-compares equal to a plain ``(step, value)`` tuple.  The z-score is read
-only with an event, so :func:`run_monitor` keeps the rolling median up
-to date at every step but brings the MAD up to date only at a step where
-a tier fires (see :class:`RollingMedianMad`); events are the same as
-with a MAD updated at every step.
+compares equal to, hashes, unpacks, indexes and orders like a plain
+``(step, value)`` tuple.  The z-score is read only with an event, so
+:func:`run_monitor` keeps the rolling median up to date at every step
+but brings the MAD up to date only at a step where a tier fires (see
+:class:`RollingMedianMad`); events are the same as with a MAD updated at
+every step.
 
 Events can be POSTed to a webhook.  Delivery is asynchronous: one daemon
 worker thread, started by the first event, posts them in order from a
@@ -64,7 +65,7 @@ _SPIKE_Z = 5.0  # spike_score flags a z-score above this
 
 
 class MetricPoint(NamedTuple):
-    """One metric reading; a tuple, so it compares equal to ``(step, value)``."""
+    """One metric reading; a tuple, so it behaves as ``(step, value)``."""
 
     step: int
     value: float
@@ -126,13 +127,13 @@ class RollingMedianMad:
 
     The median is kept up to date at every push.  The MAD is lazy: a push
     only queues its deviation, and :meth:`mad` brings the sorted view of
-    the deviation window up to date when it is called.  Fewer than
-    ``window`` queued deviations are replayed one by one (evict the
-    oldest, insert the new one), as an eager update would have done at
-    each push; otherwise the queue holds exactly the last ``window``
-    deviations, and they are sorted once.  So a caller that reads the MAD
-    at every step pays what the eager update paid, and one that reads it
-    rarely pays at most one sort per read.
+    the deviation window up to date when it is called, by replaying the
+    queued deviations one by one (evict the oldest, insert the new one)
+    as an eager update would have done at each push.  The queue keeps
+    only the last ``window`` deviations, since older ones would be
+    evicted by the replay anyway.  So a read costs at most what the eager
+    update paid for the pushes since the last read, and never more than
+    one window's worth of insertions.
     """
 
     def __init__(self, window: int):
@@ -140,9 +141,8 @@ class RollingMedianMad:
             raise ValueError(f"window must be >= 1, got {window}")
         self.window = window
         # Each window is a deque, oldest first, beside a sorted list of
-        # the same values.  _deviations is the window _sorted_deviations
-        # holds; _pending has the deviations pushed since (the last
-        # ``window`` of them).
+        # the same values.  _pending has the deviations pushed since the
+        # last mad() (the last ``window`` of them).
         self._values: deque[float] = deque(maxlen=window)
         self._sorted_values: list[float] = []
         self._deviations: deque[float] = deque(maxlen=window)
@@ -162,20 +162,14 @@ class RollingMedianMad:
 
     def mad(self) -> float:
         """mad_t as of the last push; ``ValueError`` before the first."""
-        pending = self._pending
-        if len(pending) == self.window:
-            self._sorted_deviations = sorted(pending)
-            self._deviations, self._pending = pending, self._deviations
-            self._pending.clear()
-        elif pending:
-            window, ordered = self._deviations, self._sorted_deviations
-            for deviation in pending:
-                if len(window) == self.window:
-                    del ordered[bisect_left(ordered, window[0])]
-                window.append(deviation)
-                insort(ordered, deviation)
-            pending.clear()
-        return _median(self._sorted_deviations)
+        window, ordered = self._deviations, self._sorted_deviations
+        for deviation in self._pending:
+            if len(window) == self.window:
+                del ordered[bisect_left(ordered, window[0])]
+            window.append(deviation)
+            insort(ordered, deviation)
+        self._pending.clear()
+        return _median(ordered)
 
     def push(self, value: float) -> tuple[float, float]:
         """Push ``value``; return ``(m_t, mad_t)``."""

@@ -83,8 +83,8 @@ class TestRollingMedianMad:
     @example([0.0, 1.0, 5.0, 2.0, 2.0, 7.0, 1.0], 3, {2, 3, 6})
     @settings(max_examples=200, deadline=None)
     def test_lazy_mad_read_at_any_steps_matches_reference(self, series, window, reads):
-        # A read after fewer than `window` pushes replays them; after more,
-        # it sorts the last `window` deviations.
+        # A read replays the pushes since the last read, at most the last
+        # `window` of them.
         reference = reference_spike_scores(series, window, mad_floor=1e-8)
         tracker = RollingMedianMad(window)
         for t, value in enumerate(series):
@@ -102,21 +102,19 @@ class TestRollingMedianMad:
 class TestLazyMadWork:
     """How much sorting run_monitor asks of the rolling MAD.
 
-    Work is counted as the elements handed to ``sorted`` and ``insort`` in
-    runwatch: n for a sort of n values, one per insort.  Updating both
+    Work is counted as calls to ``insort`` in runwatch.  Updating both
     sorted windows at every step, as the eager MAD did, costs two insorts
-    per step.
+    per step.  Calls to ``sorted`` are counted too: a sort per read would
+    make a run that fires at every step pay a window's sort per step.
     """
 
     @pytest.fixture
     def work(self, monkeypatch):
-        counts = {"sorts": 0, "sorted": 0, "insorts": 0}
+        counts = {"sorts": 0, "insorts": 0}
         insort = runwatch.insort
 
         def counting_sorted(values):
-            values = list(values)
             counts["sorts"] += 1
-            counts["sorted"] += len(values)
             return sorted(values)
 
         def counting_insort(ordered, value):
@@ -144,13 +142,14 @@ class TestLazyMadWork:
         events = list(run_monitor(points, cfg))
         assert sum(e.tier == 1 for e in events) == len(values) - ALERT.window + 1
         eager = 2 * len(values)
-        assert work["insorts"] + work["sorted"] <= eager + window
+        assert work["sorts"] == 0
+        assert work["insorts"] <= eager
         assert [e.to_json() for e in events] == [
             e.to_json() for e in reference_monitor_events(points, cfg)
         ]
 
     @pytest.mark.parametrize("window", [1, 2, 7, 50, 51])
-    def test_sparse_firing_sorts_at_most_once_per_burst(self, window, work):
+    def test_sparse_firing_replays_at_most_a_window_per_burst(self, window, work):
         rng = random.Random(100 + window)
         values = [1.0 + rng.gauss(0, 0.05) for _ in range(1500)]
         for start, level, width in [(10, 3.5, 6), (300, 4.5, 9), (302 + window, 3.5, 4),
@@ -162,10 +161,10 @@ class TestLazyMadWork:
         bursts = [s for s in steps if s - 1 not in steps]
         assert len(bursts) >= 4
         # mad() runs only where a tier fires: one insort per step for the
-        # median, at most one sort per burst, and replays within a burst.
-        # A window of one sorts its one pending deviation at every read.
-        assert work["sorts"] <= (len(steps) if window == 1 else len(bursts))
-        assert work["insorts"] + work["sorted"] <= len(values) + len(bursts) * window + len(steps)
+        # median, at most a window's replay at the start of a burst, and
+        # one insort per firing step within it.
+        assert work["sorts"] == 0
+        assert work["insorts"] <= len(values) + len(bursts) * window + len(steps)
         assert [e.to_json() for e in events] == [
             e.to_json() for e in reference_monitor_events(points, cfg)
         ]
@@ -190,6 +189,13 @@ class TestMetricPoint:
         assert (point.step, point.value) == (3, 2.5)
         with pytest.raises(AttributeError):
             point.step = 4
+
+    def test_unpacks_indexes_orders_and_hashes_as_a_tuple(self):
+        point = MetricPoint(3, 2.5)
+        step, value = point
+        assert (step, value) == (point[0], point[1]) == (3, 2.5)
+        assert len(point) == 2 and hash(point) == hash((3, 2.5))
+        assert MetricPoint(2, 9.0) < point < MetricPoint(3, 2.6)
 
 
 class TestSpikeScore:
