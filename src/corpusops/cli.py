@@ -371,9 +371,9 @@ def _parse_tier(name: str, value: str) -> DetectorTier:
 
 
 def cmd_monitor(args: argparse.Namespace) -> int:
-    from corpusops.runwatch import MetricPoint, MonitorConfig, run_monitor
+    from corpusops.runwatch import MonitorConfig, run_monitor
 
-    def point(row: dict) -> MetricPoint:
+    def point(row: dict) -> tuple[int, float]:
         step, loss = row["step"], row["loss"]
         # JSON numbers only: int() and float() would also take true or "7.5".
         # The common types are tested first, so most rows convert nothing.
@@ -387,7 +387,7 @@ def cmd_monitor(args: argparse.Namespace) -> int:
             loss = float(loss)
         if not math.isfinite(loss):
             raise ValueError(f'"loss" must be finite, got {loss}')
-        return MetricPoint(step, loss)
+        return step, loss
 
     parse = _row_parser(point, 'numeric "step" and "loss"')
     config = MonitorConfig(

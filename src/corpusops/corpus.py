@@ -34,7 +34,7 @@ __all__ = [
 _KNOWN_KEYS = ("id", "text", "source_class", "dup_count", "curated", "timestamp")
 
 _LINE_ENDS = ("\n", "\r\n")
-_raw_decode = json.JSONDecoder().raw_decode
+_scan_once = json.JSONDecoder().scan_once
 
 Row = TypeVar("Row")
 
@@ -99,19 +99,25 @@ def decode_line(line: str) -> Any:
     """The JSON value of one wire line: ``json.loads(line)``, but cheaper.
 
     A line that holds one value with nothing but its ``"\\n"`` or
-    ``"\\r\\n"`` after it (the common case) is decoded by the C scanner
-    alone, without ``json.loads``'s Python wrapper.  Every other line,
-    including one that does not decode, goes to ``json.loads``, so the
+    ``"\\r\\n"`` after it (the common case) is decoded by one call of
+    the decoder's C scanner (``scan_once(line, 0)``), without the Python
+    wrappers of ``json.loads`` or ``raw_decode``.  Every other line,
+    including one the scanner rejects, goes to ``json.loads``, so the
     value or the ``ValueError`` (``json.JSONDecodeError``) is exactly
-    json's.
+    json's.  A value nested too deeply for the decoder's recursion limit
+    raises ``ValueError`` too, not ``RecursionError``, so a record reader
+    skips and reports the line like any other malformed one.
     """
     try:
-        obj, end = _raw_decode(line)
-    except ValueError:
+        try:
+            obj, end = _scan_once(line, 0)
+        except (StopIteration, ValueError):
+            return json.loads(line)
+        if end == len(line) or line[end:] in _LINE_ENDS:
+            return obj
         return json.loads(line)
-    if end == len(line) or line[end:] in _LINE_ENDS:
-        return obj
-    return json.loads(line)
+    except RecursionError:
+        raise ValueError("JSON value nested too deeply to decode") from None
 
 
 def parse_record(line: str, line_number: int) -> Document:
@@ -202,9 +208,10 @@ def read_rows(
 ) -> Iterator[Row]:
     """Yield ``parse(line, line_number)`` per non-blank input line, in order.
 
-    A line whose parse raises ``ValueError`` (bad JSON included) is passed
-    to ``on_error`` as :class:`RecordError` with its 1-based line number;
-    reading then continues with the next line.  So is a line that is not
+    A line whose parse raises ``ValueError`` (bad JSON included, and JSON
+    nested too deeply to decode) is passed to ``on_error`` as
+    :class:`RecordError` with its 1-based line number; reading then
+    continues with the next line.  So is a line that is not
     valid UTF-8: a stream decoded with ``errors="surrogateescape"`` turns
     each invalid byte into a lone surrogate, which UTF-8 cannot encode.
     So is a line whose JSON escapes (``"\\ud800"``) decode to a lone

@@ -16,12 +16,13 @@ stricter thresholds) emits level-two events carrying the rollback step
 are edge-triggered: once fired, the tier re-arms only after its window
 clears below the thresholds.
 
-Metric readings are :class:`MetricPoint` named tuples, so a point
-compares equal to, hashes, unpacks, indexes and orders like a plain
-``(step, value)`` tuple.  The z-score is read only with an event, so
-:func:`run_monitor` keeps the rolling median up to date at every step
-but brings the MAD up to date only at a step where a tier fires (see
-:class:`RollingMedianMad`); events are the same as with a MAD updated at
+:func:`run_monitor` reads any ``(step, value)`` pairs.  The library's
+:class:`MetricPoint` is a named tuple, so a point compares equal to,
+hashes, unpacks, indexes and orders like a plain ``(step, value)`` tuple.
+The z-score is read only with an event, so :func:`run_monitor` appends
+each value to the rolling scorer in O(1) and brings the rolling median
+and MAD up to date only at a step where a tier fires (see
+:class:`RollingMedianMad`); events are the same as with both updated at
 every step.
 
 Events can be POSTed to a webhook.  Delivery is asynchronous: one daemon
@@ -121,58 +122,89 @@ def _median(ordered: list[float]) -> float:
 class RollingMedianMad:
     """Streaming rolling median plus windowed MAD of past deviations.
 
-    For each pushed value y_t this tracks m_t (median of the trailing
+    For each appended value y_t this tracks m_t (median of the trailing
     window of values) and mad_t (median over the same trailing window of
     |y_s - m_s|, where m_s is the rolling median as it was at step s).
 
-    The median is kept up to date at every push.  The MAD is lazy: a push
-    only queues its deviation, and :meth:`mad` brings the sorted view of
-    the deviation window up to date when it is called, by replaying the
-    queued deviations one by one (evict the oldest, insert the new one)
-    as an eager update would have done at each push.  The queue keeps
-    only the last ``window`` deviations, since older ones would be
-    evicted by the replay anyway.  So a read costs at most what the eager
-    update paid for the pushes since the last read, and never more than
-    one window's worth of insertions.
+    Both are lazy.  :meth:`append` only adds the value to a history of
+    the last ``2 * window - 1`` values.  :meth:`median` and :meth:`mad`
+    bring the two sorted windows up to date when they are called.  Of the
+    ``p`` values appended since the last read, only the last
+    ``min(p, window)`` have deviations still inside the MAD window.  The
+    value window is first slid through at most ``window - 1`` of the
+    values before those, without taking a median, and then through those
+    last steps one by one, taking the median and sliding each deviation
+    into the MAD window, as an update at every step would have done.  So
+    a read costs fewer than three windows' worth of insertions, whatever
+    the gap since the last read, and never more than two per value
+    appended since then.
     """
 
     def __init__(self, window: int):
         if window < 1:
             raise ValueError(f"window must be >= 1, got {window}")
         self.window = window
+        self._history: deque[float] = deque(maxlen=2 * window - 1)
+        self._pending = 0  # values appended since the windows were last updated
         # Each window is a deque, oldest first, beside a sorted list of
-        # the same values.  _pending has the deviations pushed since the
-        # last mad() (the last ``window`` of them).
+        # the same values.
         self._values: deque[float] = deque(maxlen=window)
         self._sorted_values: list[float] = []
         self._deviations: deque[float] = deque(maxlen=window)
         self._sorted_deviations: list[float] = []
-        self._pending: deque[float] = deque(maxlen=window)
 
-    def push_median(self, value: float) -> float:
-        """Push ``value``; return the rolling median m_t."""
+    def append(self, value: float) -> None:
+        """Add y_t; O(1), the windows catch up at the next read."""
+        self._history.append(value)
+        self._pending += 1
+
+    def _catch_up(self) -> None:
+        pending, window = self._pending, self.window
+        self._pending = 0
+        # The deviations of the last ``scored`` steps are in the MAD window;
+        # the value window at the first of them holds it and ``stale``
+        # values before it.
+        scored = min(pending, window)
+        stale = min(pending - scored, window - 1)
         values, ordered = self._values, self._sorted_values
-        if len(values) == self.window:
-            del ordered[bisect_left(ordered, values[0])]
-        values.append(value)  # drops values[0] when full
-        insort(ordered, value)
-        median = _median(ordered)
-        self._pending.append(abs(value - median))
-        return median
+        deviations, ordered_deviations = self._deviations, self._sorted_deviations
+        recent = islice(self._history, len(self._history) - scored - stale, None)
+        # Slide each value in (a full window first drops its oldest); from
+        # the first scored step on, slide its deviation into the MAD window
+        # too.  insort puts a value after its equals and bisect_left evicts
+        # the first, so each sorted list is exactly sorted(window), down to
+        # the sign of a zero.
+        for index, value in enumerate(recent, -stale):
+            if len(values) == window:
+                del ordered[bisect_left(ordered, values[0])]
+            values.append(value)  # drops values[0] when full
+            insort(ordered, value)
+            if index >= 0:
+                deviation = abs(value - _median(ordered))
+                if len(deviations) == window:
+                    del ordered_deviations[bisect_left(ordered_deviations, deviations[0])]
+                deviations.append(deviation)
+                insort(ordered_deviations, deviation)
+
+    def median(self) -> float:
+        """m_t as of the last append; ``ValueError`` before the first."""
+        if self._pending:
+            self._catch_up()
+        return _median(self._sorted_values)
 
     def mad(self) -> float:
-        """mad_t as of the last push; ``ValueError`` before the first."""
-        window, ordered = self._deviations, self._sorted_deviations
-        for deviation in self._pending:
-            if len(window) == self.window:
-                del ordered[bisect_left(ordered, window[0])]
-            window.append(deviation)
-            insort(ordered, deviation)
-        self._pending.clear()
-        return _median(ordered)
+        """mad_t as of the last append; ``ValueError`` before the first."""
+        if self._pending:
+            self._catch_up()
+        return _median(self._sorted_deviations)
+
+    def push_median(self, value: float) -> float:
+        """Append ``value``; return the rolling median m_t."""
+        self.append(value)
+        return self.median()
 
     def push(self, value: float) -> tuple[float, float]:
-        """Push ``value``; return ``(m_t, mad_t)``."""
+        """Append ``value``; return ``(m_t, mad_t)``."""
         median = self.push_median(value)
         return median, self.mad()
 
@@ -180,14 +212,16 @@ class RollingMedianMad:
 def rolling_median_mad(series: Sequence[float], window: int) -> tuple[float, float]:
     """(m_t, mad_t) at the last point of ``series``.
 
-    Raises ``ValueError`` on an empty series.
+    Every value is appended and the windows are read once at the end, so
+    the work is O(window), not O(len(series)).  Raises ``ValueError`` on
+    an empty series.
     """
     if not series:
         raise ValueError("empty window")
     tracker = RollingMedianMad(window)
     for value in series:
-        median = tracker.push_median(value)
-    return median, tracker.mad()
+        tracker.append(value)
+    return tracker.median(), tracker.mad()
 
 
 def spike_score(series: Sequence[float], window: int) -> tuple[float, bool]:
@@ -359,14 +393,15 @@ def _window_event(
 
 
 def run_monitor(
-    metrics: Iterable[MetricPoint], config: MonitorConfig
+    metrics: Iterable[tuple[int, float]], config: MonitorConfig
 ) -> Iterator[MonitorEvent]:
     """Evaluate both tiers over an ordered metric stream, yielding events.
 
-    Steps must be strictly increasing and values finite.  Alert events
-    (tier 1) are emitted for every step whose alert window satisfies both
-    conditions; restart events (tier 2) are edge-triggered with hysteresis
-    and carry the rollback step.  With a webhook, each event is queued for
+    Each reading is any ``(step, value)`` pair: a plain tuple or a
+    :class:`MetricPoint`.  Steps must be strictly increasing and values
+    finite.  Alert events (tier 1) are emitted for every step whose alert
+    window satisfies both conditions; restart events (tier 2) are
+    edge-triggered with hysteresis and carry the rollback step.  With a webhook, each event is queued for
     the delivery worker before it is yielded, and the generator returns
     once the queue is drained.
 
@@ -375,16 +410,18 @@ def run_monitor(
     last value above ``t_max``.  A window of ``w`` values has its minimum
     above ``t_min`` iff that run is at least ``w`` long, and its maximum
     above ``t_max`` iff that index lies inside it, so the tier fires
-    exactly when :func:`detect` does.  The MAD behind ``z`` is brought
-    up to date only at a step where a tier fires (see
-    :class:`RollingMedianMad`).
+    exactly when :func:`detect` does.  Every value is appended to the
+    rolling scorer in O(1); the median and MAD behind ``z`` are brought up
+    to date only at a step where a tier fires (see
+    :class:`RollingMedianMad`), so a step costs O(1) whatever the z
+    window.
     """
     alert_w, alert_lo, alert_hi = config.alert.window, config.alert.t_min, config.alert.t_max
     restart_w, restart_lo, restart_hi = (
         config.restart.window, config.restart.t_min, config.restart.t_max
     )
     scorer = RollingMedianMad(config.z_window)
-    push_median, mad = scorer.push_median, scorer.mad
+    append, median, mad = scorer.append, scorer.median, scorer.mad
     mad_floor = config.mad_floor
     recent: deque[float] = deque(maxlen=max(alert_w, restart_w))
     alert_run = restart_run = 0  # trailing values above t_min
@@ -395,7 +432,7 @@ def run_monitor(
 
     try:
         for index, point in enumerate(metrics):
-            step, value = point.step, point.value
+            step, value = point
             if last_step is not None and step <= last_step:
                 raise ValueError(
                     f"steps must be strictly increasing: {step} after {last_step}"
@@ -404,7 +441,7 @@ def run_monitor(
                 raise ValueError(f"metric value at step {step} is not finite: {value}")
             last_step = step
 
-            median = push_median(value)
+            append(value)
             recent.append(value)
             alert_run = alert_run + 1 if value > alert_lo else 0
             restart_run = restart_run + 1 if value > restart_lo else 0
@@ -414,7 +451,7 @@ def run_monitor(
                 restart_peak = index
 
             if alert_run >= alert_w and index - alert_peak < alert_w:
-                z = (value - median) / (MAD_TO_SIGMA * max(mad(), mad_floor))
+                z = (value - median()) / (MAD_TO_SIGMA * max(mad(), mad_floor))
                 event = _window_event(1, step, recent, alert_w, z)
                 if webhook is not None:
                     webhook.put(event)
@@ -422,7 +459,7 @@ def run_monitor(
 
             if restart_run >= restart_w and index - restart_peak < restart_w:
                 if restart_armed:
-                    z = (value - median) / (MAD_TO_SIGMA * max(mad(), mad_floor))
+                    z = (value - median()) / (MAD_TO_SIGMA * max(mad(), mad_floor))
                     rollback = rollback_step(step, config.checkpoint_interval)
                     event = _window_event(2, step, recent, restart_w, z, rollback)
                     restart_armed = False

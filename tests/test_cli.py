@@ -661,6 +661,24 @@ class TestErrorPaths:
             f"line 2: {report}"
         ]
 
+    @pytest.mark.parametrize("command", sorted(SURROGATE_CASES))
+    def test_deeply_nested_line_is_skipped_and_reported(self, command, tmp_path,
+                                                        monkeypatch, capsys):
+        # The JSON decoder's recursion limit used to end every record command
+        # with a RecursionError traceback.
+        argv, good, _, _ = self.SURROGATE_CASES[command]
+        argv = [a.format(path=tmp_path / "in.jsonl") for a in argv]
+        (tmp_path / "in.jsonl").write_text(records(*good))
+        _, expected, _ = run_cli(argv, "", monkeypatch, capsys)
+        nested = '{"id": "b", "meta": ' + "[" * 100_000 + "]" * 100_000 + "}\n"
+        (tmp_path / "in.jsonl").write_text(records(good[0]) + nested + records(*good[1:]))
+        code, out, err = run_cli(argv, "", monkeypatch, capsys)
+        assert code == 0, err
+        assert out == expected and out
+        assert [line for line in err.splitlines() if line.startswith("line ")] == [
+            "line 2: JSON value nested too deeply to decode"
+        ]
+
     @pytest.mark.parametrize("source", ["file", "stdin"])
     @pytest.mark.parametrize(
         "argv", [["dedup-exact", "--capacity", "10"], ["pack", "--capacity", "8"]],

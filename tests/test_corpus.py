@@ -197,6 +197,21 @@ def test_decode_line_matches_json_loads_on_named_lines(line):
     assert _outcome(decode_line, line) == _outcome(json.loads, line)
 
 
+@pytest.mark.parametrize(
+    "line",
+    [
+        "[" * 100_000 + "]" * 100_000 + "\n",
+        '{"a": ' + '{"b": ' * 5_000 + "1" + "}" * 5_001 + "\n",
+        " " + "[" * 100_000 + "]" * 100_000 + "\n",  # the scanner rejects the blank: json.loads
+        "[" * 100_000,  # truncated: the nesting fails first
+    ],
+    ids=["arrays", "objects", "leading-blank", "truncated"],
+)
+def test_decode_line_turns_deep_nesting_into_value_error(line):
+    with pytest.raises(ValueError, match="^JSON value nested too deeply to decode$"):
+        decode_line(line)
+
+
 class TestWordCount:
     @pytest.mark.parametrize(
         "text,expected",

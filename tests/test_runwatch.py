@@ -98,14 +98,72 @@ class TestRollingMedianMad:
         with pytest.raises(ValueError, match="empty window"):
             RollingMedianMad(3).mad()
 
+    def test_median_before_any_append_errors(self):
+        with pytest.raises(ValueError, match="empty window"):
+            RollingMedianMad(3).median()
+
+    @given(
+        st.lists(
+            st.one_of(
+                st.sampled_from([-0.0, 0.0]),
+                st.sampled_from([1.0, -1.0, 2.5]),
+                st.floats(min_value=-100, max_value=100, allow_nan=False),
+            ),
+            min_size=1,
+            max_size=90,
+        ),
+        st.integers(min_value=1, max_value=8),
+        st.dictionaries(
+            st.integers(min_value=0, max_value=89), st.sampled_from(["median", "mad", "both"])
+        ),
+    )
+    # Gaps of more than 2 * window between reads, and a first read after one.
+    @example([float(i % 5) for i in range(40)], 3, {2: "both", 30: "mad", 31: "median"})
+    @example([0.0, -0.0] * 20, 4, {25: "median", 39: "both"})
+    # The evicted 0.0 is the first of its equals: -0.0 is the median after.
+    @example([0.0, -0.0, 0.0, 1.0], 3, {2: "median"})
+    @settings(max_examples=300, deadline=None)
+    def test_lazy_reads_match_reference_by_repr(self, series, window, reads):
+        # Values only appended; median() and mad() read at arbitrary steps.
+        # repr tells -0.0 from 0.0, so the sorted windows must keep equal
+        # values in the order the reference's stable sort does.
+        reference = reference_spike_scores(series, window, mad_floor=1e-8)
+        tracker = RollingMedianMad(window)
+        for t, value in enumerate(series):
+            tracker.append(value)
+            read = reads.get(t)
+            if read in ("median", "both"):
+                assert repr(tracker.median()) == repr(reference[t][0])
+            if read in ("mad", "both"):
+                assert repr(tracker.mad()) == repr(reference[t][1])
+        assert repr((tracker.median(), tracker.mad())) == repr(reference[-1][:2])
+
+    @given(
+        st.lists(
+            st.sampled_from([1.0, 1.0, 1.0, 1.0, 0.0, -0.0, 2.7, 3.5, 5.0]), max_size=120
+        ),
+        st.integers(min_value=1, max_value=6),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_plain_pairs_metric_points_and_reference_agree(self, values, window):
+        # Sparse firing with a small z window: reads come after gaps longer
+        # than 2 * window.
+        points = stream(values)
+        cfg = config(total_steps=window, z_window_fraction=1.0)
+        expected = [repr(e.to_json()) for e in reference_monitor_events(points, cfg)]
+        plain = [(p.step, p.value) for p in points]
+        assert [repr(e.to_json()) for e in run_monitor(plain, cfg)] == expected
+        assert [repr(e.to_json()) for e in run_monitor(points, cfg)] == expected
+
 
 class TestLazyMadWork:
-    """How much sorting run_monitor asks of the rolling MAD.
+    """How much sorting run_monitor asks of the rolling median and MAD.
 
     Work is counted as calls to ``insort`` in runwatch.  Updating both
-    sorted windows at every step, as the eager MAD did, costs two insorts
-    per step.  Calls to ``sorted`` are counted too: a sort per read would
-    make a run that fires at every step pay a window's sort per step.
+    sorted windows at every step, as the eager scorer did, costs two
+    insorts per step.  Calls to ``sorted`` are counted too: a sort per
+    read would make a run that fires at every step pay a window's sort
+    per step.
     """
 
     @pytest.fixture
@@ -168,6 +226,40 @@ class TestLazyMadWork:
         assert [e.to_json() for e in events] == [
             e.to_json() for e in reference_monitor_events(points, cfg)
         ]
+
+    def test_median_work_does_not_grow_with_stream_length(self, work):
+        # Both windows catch up only where a tier fires: at most a window of
+        # stale values plus two slides for each of the last window's steps
+        # at the start of a burst, then two per firing step.  Nothing is
+        # paid for the quiet steps in between.
+        window = 50
+        rng = random.Random(20_000)
+        values = [1.0 + rng.gauss(0, 0.05) for _ in range(20_000)]
+        for start, level, width in [(2_000, 3.5, 6), (9_000, 4.5, 9), (9_030, 3.5, 4),
+                                    (15_500, 3.5, 7), (19_990, 4.5, 10)]:
+            values[start : start + width] = [level] * width
+        points, cfg = self.series_and_config(values, window)
+        events = list(run_monitor(points, cfg))
+        steps = sorted({e.step for e in events})
+        bursts = [s for s in steps if s - 1 not in steps]
+        assert len(bursts) >= 4
+        assert work["sorts"] == 0
+        assert work["insorts"] <= len(bursts) * 3 * window + 2 * len(steps)
+        assert [e.to_json() for e in events] == [
+            e.to_json() for e in reference_monitor_events(points, cfg)
+        ]
+
+    @pytest.mark.parametrize("window", [1, 7, 40])
+    def test_rolling_median_mad_and_spike_score_read_once(self, window, work):
+        rng = random.Random(window)
+        series = [rng.choice([0.0, -0.0, 1.0, rng.gauss(2, 1)]) for _ in range(5_000)]
+        # The last step's MAD reaches back 2 * window - 1 values at most.
+        reference = reference_spike_scores(series[-3 * window :], window, 1e-8)[-1]
+        assert repr(rolling_median_mad(series, window)) == repr(reference[:2])
+        assert work["insorts"] <= 3 * window
+        assert spike_score(series, window) == (reference[2], reference[2] > 5)
+        assert work["insorts"] <= 6 * window
+        assert work["sorts"] == 0
 
     def test_warm_up_only_reads_replay(self, work):
         # Fewer values than the window: every read replays what is pending.
