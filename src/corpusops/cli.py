@@ -11,8 +11,9 @@ Subcommands mirror the library modules:
   plan          hyperparameter plan and sampled schedule table
   evalstats     passk / mem evaluation statistics
 
-Record streams default to stdin/stdout; use -i/-o for files.  Progress
-and human-readable summaries go to stderr so pipelines stay clean.
+Record streams default to stdin/stdout; use -i/-o for files (-o may not
+name the -i file).  Progress and human-readable summaries go to stderr so
+pipelines stay clean.
 """
 
 from __future__ import annotations
@@ -22,16 +23,18 @@ import json
 import math
 import os
 import random
+import stat
 import sys
 from contextlib import contextmanager, nullcontext
 from dataclasses import asdict, replace
-from typing import IO, Any, Callable, Iterator
+from typing import IO, Any, Callable, Iterator, NamedTuple
 
 from corpusops import __version__
 from corpusops.corpus import (
     Document,
     SourceClass,
     decode_line,
+    line_id,
     parse_record,
     read_records,
     read_rows,
@@ -47,14 +50,47 @@ from corpusops.corpus import (
 @contextmanager
 def _open_in(path: str | None) -> Iterator[IO[str]]:
     # An invalid byte decodes to a lone surrogate, so read_rows skips and
-    # reports its line instead of the decoder aborting the stream.
+    # reports its line instead of the decoder aborting the stream.  Lines
+    # end at "\n" alone, as on stdin, so a stray "\r" splits neither.
     if path in (None, "-"):
         if hasattr(sys.stdin, "reconfigure"):
             sys.stdin.reconfigure(errors="surrogateescape")
         yield sys.stdin
     else:
-        with open(path, "r", encoding="utf-8", errors="surrogateescape") as handle:
+        with open(
+            path, "r", encoding="utf-8", errors="surrogateescape", newline="\n"
+        ) as handle:
             yield handle
+
+
+@contextmanager
+def _rereadable(stream: IO[str]) -> Iterator[tuple[int, Callable[[], IO[str]]]]:
+    """(line count, ``reread``): each ``reread()`` gives the stream's lines anew.
+
+    A seekable stream (a file, ``< file``) is read again from where it
+    stood.  Any other (a pipe, ``-i <(zcat ...)``) is first copied to an
+    anonymous temporary file in $TMPDIR, which is read instead and removed
+    at exit.  Invalid bytes, surrogate-escaped when read, are written back
+    as the same bytes, so every read sees the same lines.
+    """
+    if stream.seekable():
+        lines, start = nullcontext(stream), stream.tell()
+    else:
+        import tempfile
+
+        start = 0
+        lines = tempfile.TemporaryFile(
+            "w+", encoding="utf-8", errors="surrogateescape", newline="\n"
+        )
+    with lines as handle:
+        if handle is not stream:
+            handle.writelines(stream)
+
+        def reread() -> IO[str]:
+            handle.seek(start)
+            return handle
+
+        yield sum(1 for _ in reread()), reread
 
 
 @contextmanager
@@ -64,6 +100,28 @@ def _open_out(path: str | None) -> Iterator[IO[str]]:
     else:
         with open(path, "w", encoding="utf-8") as handle:
             yield handle
+
+
+def _check_output_is_not_input(args: argparse.Namespace) -> None:
+    """Refuse an -o that names the input: opening it would empty it unread."""
+    output = getattr(args, "output", None)
+    if output in (None, "-") or not hasattr(args, "input"):
+        return
+    try:
+        out = os.stat(output)
+    except FileNotFoundError:
+        return
+    if not stat.S_ISREG(out.st_mode):  # /dev/null and pipes are not truncated
+        return
+    if args.input in (None, "-"):
+        try:
+            src = os.fstat(sys.stdin.fileno())
+        except (AttributeError, OSError, ValueError):  # stdin without a descriptor
+            return
+    else:
+        src = os.stat(args.input)
+    if os.path.samestat(src, out):
+        raise ValueError(f"-o {output} is the input file; write to another file")
 
 
 def _report_bad_line(err) -> None:
@@ -101,14 +159,27 @@ def _row_parser(
 # dedup
 
 
+class _Read(NamedTuple):
+    """A parsed record's text, and what a filter writes if it keeps it."""
+
+    text: str
+    record: Document | str
+
+
 def cmd_dedup_exact(args: argparse.Namespace) -> int:
     from corpusops.dedup import BloomConfig, exact_dedup
 
+    # A kept record is written as read, but one named by its line number
+    # is encoded, so that its id survives the lines dropped before it.
+    def parse(line: str, line_number: int) -> _Read:
+        doc = parse_record(line, line_number)
+        return _Read(doc.text, doc if doc.id == line_id(line_number) else line)
+
     config = BloomConfig(capacity=args.capacity, target_fpr=args.fpr)
     with _open_in(args.input) as src, _open_out(args.output) as dst:
-        docs = read_records(src, on_error=_report_bad_line)
-        kept, stats = exact_dedup(docs, config)
-        write_records(kept, dst)
+        rows = read_rows(src, parse, on_error=_report_bad_line)
+        kept, stats = exact_dedup(rows, config)
+        write_records((row.record for row in kept), dst)
     inserted = stats.seen - stats.dropped
     if inserted > config.capacity:
         print(
@@ -123,7 +194,12 @@ def cmd_dedup_exact(args: argparse.Namespace) -> int:
 
 
 def cmd_dedup_near(args: argparse.Namespace) -> int:
-    from corpusops.dedup import NearDupConfig, NearDupStats, near_dedup
+    from corpusops.dedup.pipeline import (
+        NearDupConfig,
+        NearDupStats,
+        cluster_outcome,
+        near_clusters,
+    )
 
     config = NearDupConfig(
         num_perm=args.perms,
@@ -132,8 +208,9 @@ def cmd_dedup_near(args: argparse.Namespace) -> int:
         confirm_threshold=args.threshold,
         perm_seed=args.seed,
     )
-    # near_dedup needs unique ids: keep the first record of an id, and skip
-    # and report a later one by its line number.
+    # Ids must be unique: keep the first record of an id, and skip and
+    # report a later one by its line number.  The kept ids, in line order,
+    # are all the second pass needs to find the records again.
     first_line: dict[str, int] = {}
 
     def parse(line: str, line_number: int) -> Document:
@@ -143,12 +220,32 @@ def cmd_dedup_near(args: argparse.Namespace) -> int:
             raise ValueError(f"duplicate id {doc.id!r}, first on line {first}")
         return doc
 
-    with _open_in(args.input) as src:
-        docs = list(read_rows(src, parse, on_error=_report_bad_line))
     stats = NearDupStats()
-    kept, clusters = near_dedup(docs, config, stats)
-    with _open_out(args.output) as dst:
-        write_records(kept, dst)
+    with _open_in(args.input) as src, _rereadable(src) as (line_count, reread):
+        # Pass 1 keeps each record's signature row and ranking fields, no text.
+        records = read_rows(reread(), parse, on_error=_report_bad_line)
+        clusters = near_clusters(records, config, stats, size=line_count)
+        drop, promote = cluster_outcome(clusters)
+
+        def kept() -> Iterator[Document | str]:
+            # Pass 2 writes kept lines as read.  A representative is encoded
+            # with its new dup_count, as is a record named by its line.
+            accepted = iter(first_line.items())
+            doc_id, at = next(accepted, ("", 0))
+            for line_number, line in enumerate(reread(), start=1):
+                if line_number != at:
+                    continue
+                if doc_id in drop:
+                    pass
+                elif doc_id in promote or doc_id == line_id(line_number):
+                    doc = parse_record(line, line_number)
+                    yield replace(doc, dup_count=promote.get(doc_id, doc.dup_count))
+                else:
+                    yield line
+                doc_id, at = next(accepted, ("", 0))
+
+        with _open_out(args.output) as dst:
+            written = write_records(kept(), dst)
     sink = _open_out(args.clusters) if args.clusters else nullcontext(sys.stderr)
     with sink as dst:
         for record in clusters:
@@ -160,7 +257,7 @@ def cmd_dedup_near(args: argparse.Namespace) -> int:
                 },
                 dst,
             )
-    counts = {"documents": len(docs), "kept": len(kept), "clusters": len(clusters)}
+    counts = {"documents": len(first_line), "kept": written, "clusters": len(clusters)}
     _emit({**counts, **asdict(stats)}, sys.stderr)  # largest_bucket, confirmations
     return 0
 
@@ -604,6 +701,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        _check_output_is_not_input(args)
         return args.func(args)
     except (ValueError, KeyError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

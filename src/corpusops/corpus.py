@@ -24,6 +24,7 @@ __all__ = [
     "SourceClass",
     "decode_line",
     "document_to_json",
+    "line_id",
     "parse_record",
     "read_records",
     "read_rows",
@@ -120,6 +121,11 @@ def decode_line(line: str) -> Any:
         raise ValueError("JSON value nested too deeply to decode") from None
 
 
+def line_id(line_number: int) -> str:
+    """The id :func:`parse_record` gives a record without one: ``line-N``."""
+    return f"line-{line_number}"
+
+
 def parse_record(line: str, line_number: int) -> Document:
     """One wire line as a :class:`Document`; ``ValueError`` if malformed.
 
@@ -150,7 +156,7 @@ def parse_record(line: str, line_number: int) -> Document:
     # unique one from the line number when absent or null.
     doc_id = obj.get("id")
     if doc_id is None:
-        doc_id = f"line-{line_number}"
+        doc_id = line_id(line_number)
     elif not isinstance(doc_id, str):
         doc_id = str(doc_id)
 
@@ -269,19 +275,29 @@ def document_to_json(doc: Document) -> dict[str, Any]:
     return obj
 
 
-def write_records(documents: Iterable[Document], stream: IO[str]) -> int:
-    """Write one JSON line per document; returns the record count.
+def write_records(records: Iterable[Document | str], stream: IO[str]) -> int:
+    """Write one JSON line per record; returns the record count.
 
-    ``read_records(write_records(X))`` reproduces X field for field:
-    embedded newlines and other control characters are JSON-escaped.  An
+    A :class:`Document` is encoded: ``read_records(write_records(X))``
+    reproduces X field for field, and embedded newlines and other control
+    characters are JSON-escaped.  A ``str`` is a wire line as read, written
+    as it is but for its line end, which becomes one ``"\\n"`` (a ``"\\r\\n"``
+    or a missing one included).  A filter that passes such lines through
+    emits its kept records field for field, not byte for byte: a key the
+    input left out stays out, and the reader fills its default again.  An
     I/O failure aborts with :class:`RecordWriteError` carrying the number
     of records fully written so far.
     """
     written = 0
-    for doc in documents:
+    for record in records:
         try:
-            stream.write(json.dumps(document_to_json(doc), ensure_ascii=False))
-            stream.write("\n")
+            if type(record) is str:
+                if record[-1:] != "\n" or record[-2:] == "\r\n":
+                    record = record.rstrip("\r\n") + "\n"
+                stream.write(record)
+            else:
+                stream.write(json.dumps(document_to_json(record), ensure_ascii=False))
+                stream.write("\n")
         except OSError as exc:
             raise RecordWriteError(written, exc) from exc
         written += 1

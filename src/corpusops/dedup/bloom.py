@@ -15,12 +15,19 @@ from __future__ import annotations
 import hashlib
 import math
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Protocol, TypeVar
 
-from corpusops.corpus import Document
 from corpusops.dedup.text import normalize
 
 __all__ = ["BloomConfig", "BloomFilter", "DedupStats", "exact_dedup"]
+
+
+class _Texted(Protocol):
+    @property
+    def text(self) -> str: ...
+
+
+_T = TypeVar("_T", bound=_Texted)
 
 
 @dataclass(frozen=True)
@@ -116,18 +123,20 @@ def content_digest(text: str) -> bytes:
 
 
 def exact_dedup(
-    documents: Iterable[Document], config: BloomConfig
-) -> tuple[Iterator[Document], DedupStats]:
+    documents: Iterable[_T], config: BloomConfig
+) -> tuple[Iterator[_T], DedupStats]:
     """Keep first occurrences by normalized-text digest.
 
-    Returns a lazy kept-document iterator plus live stats; the counters
-    and ``stats.live_fpr`` are final only after the iterator is exhausted.
+    ``documents`` are :class:`~corpusops.corpus.Document` objects, or any
+    items with a ``text``, which come out unchanged.  Returns a lazy
+    kept-item iterator plus live stats; the counters and
+    ``stats.live_fpr`` are final only after the iterator is exhausted.
     Memory usage is the Bloom bit array, constant in stream length.
     """
     stats = DedupStats()
     bloom = BloomFilter(config)
 
-    def generate() -> Iterator[Document]:
+    def generate() -> Iterator[_T]:
         for doc in documents:
             stats.seen += 1
             if bloom.add_if_new(content_digest(doc.text)):

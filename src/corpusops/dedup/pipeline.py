@@ -4,9 +4,16 @@ Fingerprints documents in batches of about :data:`BATCH_WORDS` words into
 the rows of one signature matrix, hashes every (row, band) into a bucket
 key, sorts each band's key column into buckets, confirms co-bucketed rows
 on the matrix and unions them, then keeps one representative per cluster.
-No per-document object is built on the way.  The representative's
+No per-document signature object is built on the way.  The representative's
 ``dup_count`` is set to its cluster size so that downstream mix weighting
 can bucket it.
+
+:func:`near_clusters` is that path from documents to clusters, and
+:func:`near_dedup` and the ``dedup-near`` command both run it.  It
+streams: of each document it keeps only its signature row and the
+``id``, ``curated`` and ``timestamp`` that pick a representative, so a
+caller that reads its documents from a file once to cluster them and
+once more to write the kept ones holds no text beyond the current batch.
 
 Running the pipeline on its own output at the same threshold yields zero
 new clusters: survivors of a pass were pairwise rejected (or never
@@ -17,7 +24,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from itertools import combinations
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping
 
 import numpy as np
 
@@ -32,6 +39,7 @@ from corpusops.dedup.minhash import (
 from corpusops.dedup.text import DEFAULT_SHINGLE_SIZE, normalize
 from corpusops.dedup.unionfind import (
     ClusterRecord,
+    Ranking,
     UnionFind,
     check_threshold,
     choose_representative,
@@ -39,7 +47,13 @@ from corpusops.dedup.unionfind import (
     link,
 )
 
-__all__ = ["NearDupConfig", "NearDupStats", "near_dedup"]
+__all__ = [
+    "NearDupConfig",
+    "NearDupStats",
+    "cluster_outcome",
+    "near_clusters",
+    "near_dedup",
+]
 
 #: Words fingerprinted per signature-matrix call.  Large enough to amortize
 #: numpy's per-call cost, small enough that the batch's byte, word and
@@ -166,22 +180,71 @@ def _batches(documents: Iterable[Document]) -> Iterator[tuple[list[str], list[st
 
 
 def fingerprint(
-    documents: Sequence[Document], config: NearDupConfig
+    documents: Iterable[Document], config: NearDupConfig, size: int | None = None
 ) -> tuple[list[str], np.ndarray]:
     """Ids and signature rows of the documents with words after normalization.
 
     Documents are sketched in batches of about :data:`BATCH_WORDS` words
     into one ``len(ids) x num_perm`` matrix; batch boundaries do not
-    change any value.
+    change any value.  The matrix is allocated once with ``size`` rows
+    (default ``len(documents)``), at least the number of documents, and
+    filled in place; only the current batch's texts are held.
     """
-    matrix = np.empty((len(documents), config.num_perm), dtype=np.uint64)
+    size = len(documents) if size is None else size
+    matrix = np.empty((size, config.num_perm), dtype=np.uint64)
     ids: list[str] = []
     for batch_ids, texts in _batches(documents):
+        if len(ids) + len(texts) > size:
+            raise ValueError(f"more than the {size} documents announced")
         matrix[len(ids) : len(ids) + len(texts)] = signature_matrix(
             texts, config.perm_seed, config.num_perm, config.shingle_size
         )
         ids += batch_ids
     return ids, matrix[: len(ids)]
+
+
+def near_clusters(
+    documents: Iterable[Document],
+    config: NearDupConfig = NearDupConfig(),
+    stats: NearDupStats | None = None,
+    size: int | None = None,
+) -> list[ClusterRecord]:
+    """Near-duplicate clusters of the documents, each with its representative.
+
+    Document ids must be unique.  ``documents`` is read once, as a stream;
+    ``size`` is at least the number of documents (default
+    ``len(documents)``) and sizes the signature matrix.  Clusters come
+    sorted by smallest member id; ``stats``, when given, receives the
+    bucket and confirmation counters.
+    """
+    check_threshold(config.confirm_threshold)
+    stats = NearDupStats() if stats is None else stats
+    rankings: dict[str, Ranking] = {}
+
+    def ranked(docs: Iterable[Document]) -> Iterator[Document]:
+        for doc in docs:
+            rankings[doc.id] = Ranking(doc.id, doc.curated, doc.timestamp)
+            yield doc
+
+    size = len(documents) if size is None else size
+    ids, matrix = fingerprint(ranked(documents), config, size)
+    forest = UnionFind(len(ids))
+    for keys in band_keys(matrix, config.lsh).T:
+        _link_buckets(forest, matrix, keys, config.confirm_threshold, stats)
+    return [
+        replace(record, representative=choose_representative(record, rankings))
+        for record in cluster_records(forest, ids)
+    ]
+
+
+def cluster_outcome(clusters: Iterable[ClusterRecord]) -> tuple[set[str], dict[str, int]]:
+    """(ids to drop, representative id -> its ``dup_count``, the cluster size)."""
+    drop: set[str] = set()
+    promote: dict[str, int] = {}
+    for record in clusters:
+        promote[record.representative] = record.size
+        drop.update(m for m in record.members if m != record.representative)
+    return drop, promote
 
 
 def near_dedup(
@@ -197,28 +260,11 @@ def near_dedup(
     ``dup_count = cluster size``.  ``stats``, when given, receives the
     bucket and confirmation counters.
     """
-    check_threshold(config.confirm_threshold)
     docs = list(documents)
-    by_id = {doc.id: doc for doc in docs}
-    if len(by_id) != len(docs):
+    if len({doc.id for doc in docs}) != len(docs):
         raise ValueError("document ids must be unique within one dedup run")
-
-    stats = NearDupStats() if stats is None else stats
-    ids, matrix = fingerprint(docs, config)
-    forest = UnionFind(len(ids))
-    for keys in band_keys(matrix, config.lsh).T:
-        _link_buckets(forest, matrix, keys, config.confirm_threshold, stats)
-    clusters = cluster_records(forest, ids)
-
-    final_clusters = []
-    drop: set[str] = set()
-    promote: dict[str, int] = {}
-    for record in clusters:
-        representative = choose_representative(record, by_id)
-        final_clusters.append(replace(record, representative=representative))
-        promote[representative] = record.size
-        drop.update(m for m in record.members if m != representative)
-
+    clusters = near_clusters(docs, config, stats)
+    drop, promote = cluster_outcome(clusters)
     kept = []
     for doc in docs:
         if doc.id in drop:
@@ -226,4 +272,4 @@ def near_dedup(
         if doc.id in promote:
             doc = replace(doc, dup_count=promote[doc.id])
         kept.append(doc)
-    return kept, final_clusters
+    return kept, clusters

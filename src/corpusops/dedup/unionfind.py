@@ -11,14 +11,21 @@ the input pairs.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
 from corpusops.corpus import Document
 from corpusops.dedup.minhash import Signature
 
-__all__ = ["ClusterRecord", "UnionFind", "choose_representative", "cluster", "link"]
+__all__ = [
+    "ClusterRecord",
+    "Ranking",
+    "UnionFind",
+    "choose_representative",
+    "cluster",
+    "link",
+]
 
 #: Candidate pairs confirmed per numpy call: the two gathered blocks of
 #: signature rows take 4 MB each at 128 bins.
@@ -169,9 +176,17 @@ def cluster(
     return cluster_records(forest, ids)
 
 
+class Ranking(NamedTuple):
+    """The fields of a document that :func:`choose_representative` reads."""
+
+    id: str
+    curated: bool
+    timestamp: str | None
+
+
 def choose_representative(
     cluster_record: ClusterRecord,
-    lookup: Mapping[str, Document],
+    lookup: Mapping[str, Document] | Mapping[str, Ranking],
 ) -> str:
     """Pick the member to keep: curated first, then newest, then smallest id.
 

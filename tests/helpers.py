@@ -2,14 +2,59 @@
 
 Everything here is deliberately naive (set arithmetic, exhaustive
 enumeration, quadratic scans) so it can serve as an oracle for the
-production implementations without sharing their code paths.
+production implementations without sharing their code paths.  The one
+exception is :func:`run_python`, which starts child interpreters.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import os
+import pathlib
 import random
+import subprocess
+import sys
+
+import corpusops
+
+# ---------------------------------------------------------------------------
+# Child processes
+
+SRC = str(pathlib.Path(corpusops.__file__).resolve().parent.parent)
+
+
+def run_python(*args: str, env: dict | None = None, **kwargs) -> subprocess.CompletedProcess:
+    """``python -X dev -W error *args`` with this checkout's sources importable.
+
+    A warning in the child fails the test as it fails an in-process one.
+    Most become exceptions there.  One raised where no exception can
+    propagate, such as the ``ResourceWarning`` of a file or temporary file
+    that the garbage collector closes, is printed as ``Exception ignored``,
+    and this helper fails on that.  ``env`` defaults to this process's
+    environment without ``CORPUSOPS_WEBHOOK``; ``kwargs`` go to
+    :func:`subprocess.run`, which captures output and times out at 60 s
+    unless told otherwise.
+    """
+    if env is None:
+        env = {k: v for k, v in os.environ.items() if k != "CORPUSOPS_WEBHOOK"}
+    env = dict(env, PYTHONPATH=os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")])))
+    kwargs.setdefault("capture_output", True)
+    kwargs.setdefault("timeout", 60)
+    proc = subprocess.run(
+        [sys.executable, "-X", "dev", "-W", "error", *args], env=env, **kwargs
+    )
+    stderr = proc.stderr if isinstance(proc.stderr, str) else (proc.stderr or b"").decode(
+        "utf-8", "replace"
+    )
+    assert "Exception ignored" not in stderr, stderr
+    return proc
+
+
+def run_corpusops(*argv: str, **kwargs) -> subprocess.CompletedProcess:
+    """``corpusops *argv`` in a child process, through :func:`run_python`."""
+    return run_python("-m", "corpusops", *argv, **kwargs)
+
 
 
 # ---------------------------------------------------------------------------

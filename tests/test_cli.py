@@ -1,15 +1,25 @@
 import io
 import json
 import os
-import pathlib
-import subprocess
+import random
 import sys
+import tracemalloc
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
-import corpusops
 from corpusops.cli import main
-from corpusops.dedup import BloomConfig, BloomFilter
+from corpusops.corpus import parse_record, read_rows
+from corpusops.dedup import (
+    BloomConfig,
+    BloomFilter,
+    NearDupConfig,
+    NearDupStats,
+    near_dedup,
+    signature_matrix,
+)
+from helpers import mutate_document, random_words, run_corpusops, run_python
 
 
 def run_cli(args, stdin_text="", monkeypatch=None, capsys=None):
@@ -54,6 +64,37 @@ class TestDedupExactCli:
         code, out, _ = run_cli(["dedup-exact", "--capacity", "100"], stdin, monkeypatch, capsys)
         assert code == 0
         assert [d["id"] for d in parse_lines(out)] == ["line-1", "line-2"]
+
+    # Input lines, and what dedup-exact writes for each: a kept line as read
+    # (but for its line end), a record named by its line encoded, a copy
+    # nothing.
+    PASS_THROUGH = [
+        ('{"text": "First  doc",   "id": "a", "z": [1, {"k": null}]}\r\n',
+         '{"text": "First  doc",   "id": "a", "z": [1, {"k": null}]}\n'),
+        ('{"id": null, "text": "named by its line", "curated": 1}\n',
+         '{"id": "line-2", "text": "named by its line", "source_class": "CommonCrawl", '
+         '"dup_count": 1, "curated": true}\n'),
+        ('{"text":"first DOC!","id":"copy"}\n', ""),
+        ('{"id": 7, "text": "\\u00e9 escaped, é not"}',
+         '{"id": 7, "text": "\\u00e9 escaped, é not"}\n'),
+    ]
+
+    @pytest.mark.parametrize("source", ["file", "stdin"])
+    def test_kept_lines_are_written_as_read(self, source, tmp_path, monkeypatch, capsys):
+        data = "".join(line for line, _ in self.PASS_THROUGH)
+        argv = ["dedup-exact", "--capacity", "100"]
+        if source == "file":
+            path = tmp_path / "in.jsonl"
+            path.write_bytes(data.encode())
+            code, out, err = run_cli([*argv, "-i", str(path)], "", monkeypatch, capsys)
+        else:
+            code, out, err = run_cli(argv, data, monkeypatch, capsys)
+        assert code == 0, err
+        assert out == "".join(written for _, written in self.PASS_THROUGH)
+        inputs = [parse_record(line, n) for n, (line, _) in enumerate(self.PASS_THROUGH, 1)]
+        assert [parse_record(line, 0) for line in out.splitlines()] == [
+            inputs[0], inputs[1], inputs[3]
+        ]
 
     def test_capacity_overflow_warns_once(self, monkeypatch, capsys):
         stdin = records(*({"id": f"d{i}", "text": f"document number {i}"} for i in range(6000)))
@@ -168,6 +209,147 @@ class TestDedupNearCli:
         )
         assert code == 0
         assert [d["id"] for d in parse_lines(out)] == ["a"]
+
+
+def messy_corpus(rng: random.Random) -> bytes:
+    """dedup-near input with planted near-duplicates and every line shape it skips.
+
+    Blank and malformed lines, invalid UTF-8, repeated, missing, null and
+    non-string ids, texts empty after normalization, CRLF line ends, a
+    lone CR as JSON whitespace, and often no line end after the last line.
+    """
+    bases = [random_words(rng, rng.randint(20, 40)) for _ in range(rng.randint(1, 3))]
+    lines = []
+    for _ in range(rng.randint(0, 18)):
+        shape = rng.randrange(10)
+        if shape == 0:
+            lines.append(rng.choice([b"\n", b"   \n", b"\t\r\n"]))
+            continue
+        if shape == 1:
+            lines.append(rng.choice([b"not json\n", b"[1, 2]\n", b'{"id": "m"}\n',
+                                     b'{"text": 5}\n', b'{"text": "x", "dup_count": 0}\n']))
+            continue
+        if shape == 2:
+            lines.append(b'{"id": "u", "text": "bad \xff byte"}\n')
+            continue
+        if shape < 7:
+            text = " ".join(mutate_document(rng, rng.choice(bases)))
+            if rng.random() < 0.3:
+                text = text.upper() + "!"
+        else:
+            text = rng.choice(["", "?!", " ... ", " ".join(random_words(rng, 15))])
+        record = {"text": text}
+        doc_id = rng.choice(["missing", None, 7, 1.5, True, "a", "b", "é", "line-3"])
+        if doc_id != "missing":
+            record["id"] = doc_id
+        if rng.random() < 0.3:
+            record["curated"] = rng.random() < 0.5
+        if rng.random() < 0.5:
+            record["timestamp"] = rng.choice(["2023-01-01", "2024-06-30"])
+        if rng.random() < 0.2:
+            record["dup_count"] = rng.randint(1, 4)
+        if rng.random() < 0.2:
+            record["meta"] = {"k": [1, "é"]}
+        line = json.dumps(record, ensure_ascii=rng.random() < 0.5)
+        if rng.random() < 0.1:
+            line = line.replace(", ", ",\r", 1)
+        lines.append((line + rng.choice(["\n", "\n", "\r\n"])).encode())
+    data = b"".join(lines)
+    return data.rstrip(b"\r\n") if rng.random() < 0.5 else data
+
+
+class TestDedupNearTwoPasses:
+    """dedup-near reads its input twice and holds no text in between."""
+
+    ARGV = ["dedup-near", "--seed", "3"]
+
+    @given(rng=st.randoms(use_true_random=False))
+    @settings(max_examples=25, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_file_stdin_and_pipe_agree_with_near_dedup(self, rng, tmp_path, monkeypatch, capsys):
+        data = messy_corpus(rng)
+        path = tmp_path / "in.jsonl"
+        path.write_bytes(data)
+
+        def run(way):
+            clusters = tmp_path / f"{way}.clusters"
+            argv = [*self.ARGV, "--clusters", str(clusters)]
+            if way == "file":
+                code, out, err = run_cli([*argv, "-i", str(path)], "", monkeypatch, capsys)
+            elif way == "stdin":  # a StringIO: seekable
+                code, out, err = run_cli(argv, data.decode("utf-8", "surrogateescape"),
+                                         monkeypatch, capsys)
+            else:  # an OS pipe: copied to a temporary file
+                proc = run_corpusops(*argv, input=data, env=dict(os.environ, PYTHONUTF8="1"))
+                code, out, err = proc.returncode, proc.stdout.decode(), proc.stderr.decode()
+            return code, out, err, clusters.read_bytes()
+
+        first: dict[str, int] = {}
+
+        def parse(line, line_number):
+            doc = parse_record(line, line_number)
+            if first.setdefault(doc.id, line_number) != line_number:
+                raise ValueError("repeated id")
+            return doc
+
+        text = data.decode("utf-8", "surrogateescape")
+        docs = list(read_rows(io.StringIO(text), parse, on_error=lambda err: None))
+        stats = NearDupStats()
+        kept, records = near_dedup(docs, NearDupConfig(perm_seed=3), stats)
+
+        code, out, err, clusters = run("file")
+        assert code == 0
+        assert [parse_record(line, 0) for line in out.split("\n")[:-1]] == kept
+        assert parse_lines(clusters.decode()) == [
+            {"representative": r.representative, "members": list(r.members), "size": r.size}
+            for r in records
+        ]
+        assert json.loads(err.splitlines()[-1]) == {
+            "documents": len(docs), "kept": len(kept), "clusters": len(records),
+            "largest_bucket": stats.largest_bucket, "confirmations": stats.confirmations,
+        }
+        assert all(line.startswith("line ") for line in err.splitlines()[:-1])
+        # The pipe goes last: it is the slow one.
+        assert run("stdin") == (code, out, err, clusters)
+        assert run("pipe") == (code, out, err, clusters)
+
+    def test_peak_memory_does_not_grow_with_document_length(self, tmp_path, monkeypatch):
+        # Holding every document, the long run peaked about its total text
+        # size (10 MB here) above the short one; two passes hold one batch.
+        monkeypatch.setattr(sys, "stderr", io.StringIO())
+        n, short, long = 150, 50, 5000
+        rng = random.Random(5)
+        vocabulary = random_words(rng, 2000)
+
+        def corpus(words: int):
+            path = tmp_path / f"{words}.jsonl"
+            path.write_text(records(
+                *({"id": f"d{i}", "text": " ".join(rng.choices(vocabulary, k=words))}
+                  for i in range(n))
+            ))
+            return path
+
+        def peak(path) -> int:
+            argv = ["dedup-near", "-i", str(path), "-o", str(tmp_path / "out.jsonl"),
+                    "--clusters", str(tmp_path / "clusters.jsonl")]
+            tracemalloc.start()
+            try:
+                assert main(argv) == 0
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        short_path, long_path = corpus(short), corpus(long)
+        peak(short_path)  # imports numpy and the pipeline outside the measured runs
+        tracemalloc.start()
+        try:
+            signature_matrix([" ".join(rng.choices(vocabulary, k=long))], 0)
+            one_batch = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        slack = 256 * 1024
+        assert long_path.stat().st_size - short_path.stat().st_size > 4 * (one_batch + slack)
+        assert peak(long_path) - peak(short_path) <= one_batch + slack
 
 
 class TestMixCli:
@@ -706,17 +888,52 @@ class TestErrorPaths:
         # Whatever error handler the interpreter gave stdin, the CLI reads
         # it with surrogateescape, as it does -i files.
         env = dict(os.environ, PYTHONIOENCODING="utf-8:strict")
-        env["PYTHONPATH"] = os.pathsep.join(
-            filter(None, [TestImportsPerCommand.SRC, env.get("PYTHONPATH")])
-        )
         data = records({"id": "a", "text": "one good"}).encode() + b'{"text": "\xff"}\n'
-        proc = subprocess.run(
-            [sys.executable, "-m", "corpusops", "pack", "--capacity", "8"],
-            input=data, capture_output=True, timeout=60, env=env,
-        )
+        proc = run_corpusops("pack", "--capacity", "8", input=data, env=env)
         assert proc.returncode == 0, proc.stderr
         assert proc.stderr.decode() == "line 2: line is not valid UTF-8: byte 0xff at character 10\n"
         assert b'"docs_packed": 1' in proc.stdout
+
+    IO_COMMANDS = {
+        "dedup-exact": ["dedup-exact", "--capacity", "10"],
+        "dedup-near": ["dedup-near"],
+        "fim": ["transform", "fim"],
+        "topo": ["transform", "topo"],
+        "qa": ["transform", "qa"],
+        "pack": ["pack", "--capacity", "8"],
+        "monitor": ["monitor", "--total-steps", "2000", "--alert", "3,2.0,3.0",
+                    "--restart", "5,2.5,4.0", "--interval", "500"],
+    }
+
+    @pytest.mark.parametrize("command", sorted(IO_COMMANDS))
+    def test_output_naming_the_input_exits_2(self, command, tmp_path, monkeypatch, capsys):
+        # Opening -o for writing would empty the -i file before a line is read.
+        path = tmp_path / "data.jsonl"
+        content = records({"id": "a", "text": "some text", "repo": "r", "files": [],
+                           "step": 1, "loss": 1.0})
+        path.write_text(content)
+        other_name = tmp_path / "." / "data.jsonl"
+        argv = [*self.IO_COMMANDS[command], "-i", str(path), "-o", str(other_name)]
+        code, out, err = run_cli(argv, "", monkeypatch, capsys)
+        assert code == 2
+        assert err == f"error: -o {other_name} is the input file; write to another file\n"
+        assert path.read_text() == content
+
+    def test_output_naming_the_file_on_stdin_exits_2(self, tmp_path):
+        path = tmp_path / "data.jsonl"
+        content = records({"id": "a", "text": "some text"})
+        path.write_text(content)
+        with open(path, "rb") as stdin:
+            proc = run_corpusops("dedup-exact", "--capacity", "10", "-o", str(path),
+                                 stdin=stdin, text=True)
+        assert proc.returncode == 2
+        assert proc.stderr == f"error: -o {path} is the input file; write to another file\n"
+        assert path.read_text() == content
+
+    def test_device_as_input_and_output_is_allowed(self, monkeypatch, capsys):
+        argv = ["dedup-exact", "--capacity", "10", "-i", os.devnull, "-o", os.devnull]
+        code, _, err = run_cli(argv, "", monkeypatch, capsys)
+        assert code == 0, err
 
     def test_domain_errors_exit_2(self, monkeypatch, capsys):
         code, _, err = run_cli(
@@ -728,20 +945,15 @@ class TestErrorPaths:
 
 
 def test_module_entry_point_subprocess():
-    proc = subprocess.run(
-        [sys.executable, "-m", "corpusops", "evalstats", "passk",
-         "--n", "10", "--c", "0", "--k", "3"],
-        capture_output=True, text=True, timeout=60,
-    )
+    proc = run_corpusops("evalstats", "passk", "--n", "10", "--c", "0", "--k", "3", text=True)
     assert proc.returncode == 0
-    assert proc.stdout.strip() == "0"
+    assert (proc.stdout, proc.stderr) == ("0\n", "")
 
 
 class TestImportsPerCommand:
     """Commands other than dedup-near run without numpy or urllib, and
     commands on clean input without logging."""
 
-    SRC = str(pathlib.Path(corpusops.__file__).resolve().parent.parent)
     BLOCKED_RUN = (
         "import sys\n"
         "sys.modules['numpy'] = None\n"
@@ -752,12 +964,7 @@ class TestImportsPerCommand:
     )
 
     def run_python(self, code, *args):
-        env = {k: v for k, v in os.environ.items() if k != "CORPUSOPS_WEBHOOK"}
-        env["PYTHONPATH"] = os.pathsep.join(filter(None, [self.SRC, env.get("PYTHONPATH")]))
-        return subprocess.run(
-            [sys.executable, "-c", code, *args],
-            capture_output=True, text=True, timeout=60, env=env,
-        )
+        return run_python("-c", code, *args, text=True)
 
     def test_importing_the_cli_loads_neither(self):
         proc = self.run_python(

@@ -221,6 +221,22 @@ class TestNearDedupPipeline:
         _, whole = near_dedup(docs, config)
         assert [r.members for r in staged] == [r.members for r in whole]
 
+    def test_streamed_clusters_equal_near_dedup(self):
+        # near_clusters reads a one-shot stream into a matrix sized in advance.
+        rng = random.Random(17)
+        texts = planted_corpus(rng, n_groups=5, group_size=3, n_singletons=20)
+        docs = [
+            Document(id=i, text=t, curated=rng.random() < 0.3,
+                     timestamp=rng.choice([None, "2023-05-01", "2024-01-01"]))
+            for i, t in sorted(texts.items())
+        ]
+        docs.append(Document(id="blank", text="?!"))
+        config = NearDupConfig(perm_seed=8)
+        _, whole = near_dedup(docs, config)
+        assert pipeline.near_clusters(iter(docs), config, size=len(docs) + 3) == whole
+        with pytest.raises(ValueError, match="more than the 10 documents"):
+            pipeline.near_clusters(iter(docs), config, size=10)
+
     def test_link_skips_pairs_already_joined(self):
         matrix = np.zeros((4, 8), dtype=np.uint64)
         forest = UnionFind(4)
