@@ -11,9 +11,9 @@ Subcommands mirror the library modules:
   plan          hyperparameter plan and sampled schedule table
   evalstats     passk / mem evaluation statistics
 
-Record streams default to stdin/stdout; use -i/-o for files (-o may not
-name the -i file).  Progress and human-readable summaries go to stderr so
-pipelines stay clean.
+Record streams default to stdin/stdout; use -i/-o for files (no output
+file may be the input or another output).  Progress and human-readable
+summaries go to stderr so pipelines stay clean.
 """
 
 from __future__ import annotations
@@ -102,26 +102,50 @@ def _open_out(path: str | None) -> Iterator[IO[str]]:
             yield handle
 
 
-def _check_output_is_not_input(args: argparse.Namespace) -> None:
-    """Refuse an -o that names the input: opening it would empty it unread."""
-    output = getattr(args, "output", None)
-    if output in (None, "-") or not hasattr(args, "input"):
-        return
+def _file_key(status: os.stat_result) -> tuple[int, int] | None:
+    """(device, inode) of a regular file; None for /dev/null, a pipe or a tty."""
+    return (status.st_dev, status.st_ino) if stat.S_ISREG(status.st_mode) else None
+
+
+def _path_key(path: str) -> tuple[int, int] | str | None:
+    """:func:`_file_key` of an existing path, else the path resolved."""
     try:
-        out = os.stat(output)
+        return _file_key(os.stat(path))
     except FileNotFoundError:
+        return os.path.realpath(path)
+
+
+def _check_outputs(args: argparse.Namespace) -> None:
+    """Refuse an output flag that names the input or another output flag.
+
+    Opening an output for writing empties it: the input before a line of
+    it is read, or an output written earlier in the same command.
+    """
+    outputs = [
+        (flag, path)
+        for flag, path in (("-o", getattr(args, "output", None)),
+                           ("--clusters", getattr(args, "clusters", None)))
+        if path not in (None, "-")
+    ]
+    if not outputs or not hasattr(args, "input"):
         return
-    if not stat.S_ISREG(out.st_mode):  # /dev/null and pipes are not truncated
-        return
-    if args.input in (None, "-"):
-        try:
-            src = os.fstat(sys.stdin.fileno())
-        except (AttributeError, OSError, ValueError):  # stdin without a descriptor
-            return
+    if args.input not in (None, "-"):
+        source = _path_key(args.input)
     else:
-        src = os.stat(args.input)
-    if os.path.samestat(src, out):
-        raise ValueError(f"-o {output} is the input file; write to another file")
+        try:
+            source = _file_key(os.fstat(sys.stdin.fileno()))
+        except (AttributeError, OSError, ValueError):  # stdin without a descriptor
+            source = None
+    taken: dict[object, str] = {}
+    for flag, path in outputs:
+        key = _path_key(path)
+        if key is None:
+            continue
+        if key == source:
+            raise ValueError(f"{flag} {path} is the input file; write to another file")
+        if key in taken:
+            raise ValueError(f"{flag} {path} is also {taken[key]}; write to another file")
+        taken[key] = f"{flag} {path}"
 
 
 def _report_bad_line(err) -> None:
@@ -701,7 +725,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        _check_output_is_not_input(args)
+        _check_outputs(args)
         return args.func(args)
     except (ValueError, KeyError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

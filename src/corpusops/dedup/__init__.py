@@ -11,6 +11,11 @@ Two stages, typically run in this order:
    keeps one representative per cluster (curated beats CommonCrawl, newer
    beats older).
 
+Both stages read text through :func:`normalize`, the one place that
+decides where words end; the MinHash layer takes its output as is and
+splits words at single spaces.  :class:`NearDupConfig` holds the banding
+shape.
+
 The names below are loaded on first use (PEP 562), so exact dedup, which
 needs only :mod:`~corpusops.dedup.bloom` and
 :mod:`~corpusops.dedup.text`, runs without importing numpy.
@@ -27,10 +32,8 @@ _SUBMODULE = {
     "UnionFind": "unionfind",
     "choose_representative": "unionfind",
     "cluster": "unionfind",
-    "LshConfig": "minhash",
     "Signature": "minhash",
     "estimate_jaccard": "minhash",
-    "lsh_keys": "minhash",
     "signature": "minhash",
     "signature_matrix": "minhash",
     "NearDupConfig": "pipeline",

@@ -9,6 +9,11 @@ of the shingle sets (:func:`estimate_jaccard`).  :func:`band_keys` hashes
 each band of a signature so that similar documents collide in at least
 one bucket.
 
+Input contract: texts are non-empty ``normalize`` output and shingles
+non-empty runs of their words, so ``normalize`` alone decides where words
+end.  Words are split at U+0020 only; an empty word (an empty text or
+shingle, a leading, trailing or doubled space) raises ``ValueError``.
+
 The hash family, with all arithmetic mod 2**64 and B the odd constant
 ``_POLY_BASE``:
 
@@ -49,7 +54,6 @@ bit.  Signatures are deterministic given (normalized text, ``perm_seed``,
 from __future__ import annotations
 
 import operator
-import re
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, Sequence
@@ -59,11 +63,9 @@ import numpy as np
 from corpusops.dedup.text import DEFAULT_SHINGLE_SIZE
 
 __all__ = [
-    "LshConfig",
     "Signature",
     "band_keys",
     "estimate_jaccard",
-    "lsh_keys",
     "signature",
     "signature_matrix",
 ]
@@ -77,11 +79,6 @@ _LENGTH_KEY = np.uint64(0xC2B2AE3D27D4EB4F)
 _GOLDEN = 0x9E3779B97F4A7C15
 _PROBES = 32  # densification probes per empty bin before the circular fallback
 _SPACE = 0x20
-
-# Every character str.split() splits on, besides the space itself.
-_OTHER_SPACE = re.compile(
-    "[\t\n\x0b\x0c\r\x1c-\x1f\x85\xa0\u1680\u2000-\u200a\u2028\u2029\u202f\u205f\u3000]"
-)
 
 
 @dataclass(eq=False)
@@ -140,29 +137,13 @@ def _span_polynomials(
 
 
 def _word_spans(data: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(start, end) byte offsets of the runs between single spaces."""
+    """(start, end) byte offsets of the runs between spaces, none of them empty."""
     spaces = np.flatnonzero(data == _SPACE)
     starts = np.concatenate(([0], spaces + 1))
     ends = np.concatenate((spaces, [data.size]))
-    return starts, ends
-
-
-def _single_spaced(
-    texts: Sequence[str], data: np.ndarray, starts: np.ndarray, ends: np.ndarray
-) -> bool:
-    """True iff ``str.split`` finds exactly the runs between spaces of ``data``.
-
-    ``data`` is the UTF-8 encoding of ``" ".join(texts)``.  The test fails
-    on an empty run (a leading, trailing or doubled space, an empty text)
-    and on any whitespace other than U+0020.  Only bytes below 0x20 or
-    above 0x7F can start such whitespace, so the regex scan runs only
-    when one occurs.
-    """
     if (ends == starts).any():
-        return False
-    if ((data - np.uint8(_SPACE)) >= 0x60).any():
-        return _OTHER_SPACE.search(" ".join(texts)) is None
-    return True
+        raise ValueError("empty word: expected non-empty, single-spaced normalize() output")
+    return starts, ends
 
 
 def _word_hashes(data: np.ndarray, starts: np.ndarray, ends: np.ndarray) -> np.ndarray:
@@ -272,24 +253,18 @@ def signature_matrix(
 ) -> np.ndarray:
     """Signatures of many normalized texts: an N x ``num_perm`` uint64 matrix.
 
-    Row i is the signature of ``shingles(texts[i], shingle_size)``, bit for
-    bit equal to ``signature(shingles(texts[i]), perm_seed, num_perm)``.
-    The texts are joined and hashed as one byte string, so callers should
-    pass thousands of words at a time.  Words are separated by whitespace
-    as ``str.split`` sees it: a batch whose texts hold anything but single
-    spaces between words is first rewritten to that form, which costs a
-    split per text.  Raises ``ValueError`` if a text has no words.
+    Each text is non-empty ``normalize`` output, split into words at
+    U+0020 only (the module's input contract).  Row i is the signature of
+    ``shingles(texts[i], shingle_size)``, bit for bit equal to
+    ``signature(shingles(texts[i]), perm_seed, num_perm)``.  The texts are
+    joined and hashed as one byte string, so callers should pass thousands
+    of words at a time.  Raises ``ValueError`` on an empty word.
     """
     if shingle_size < 1:
         raise ValueError(f"shingle size must be >= 1, got {shingle_size}")
     if not texts:
         return np.empty((0, num_perm), dtype=np.uint64)
     data, starts, ends, lengths = _encode(texts)
-    if not _single_spaced(texts, data, starts, ends):
-        texts = [" ".join(text.split()) for text in texts]
-        if not all(texts):
-            raise ValueError("cannot fingerprint a text without words")
-        data, starts, ends, lengths = _encode(texts)
     # Word index of each text's first word: the spaces before its offset.
     offsets = np.cumsum(lengths + 1) - lengths - 1
     first_word = np.searchsorted(starts, offsets)
@@ -313,23 +288,19 @@ def signature(
 ) -> Signature:
     """One-permutation MinHash signature of a shingle set.
 
-    The shingles are joined and hashed like the texts of
-    :func:`signature_matrix`, each shingle being one span of words; the
-    empty shingle has no words and hashes as the empty polynomial.
+    Each shingle is a non-empty run of words of ``normalize`` output, as
+    :func:`~corpusops.dedup.text.shingles` makes (the module's input
+    contract).  The shingles are joined and hashed like the texts of
+    :func:`signature_matrix`, each shingle being one span of words.
     Raises ``ValueError`` on an empty shingle set (the document was empty
-    after normalization; callers should drop it).
+    after normalization; callers should drop it) or an empty word.
     """
     grams = list(set(shingle_set))
     if not grams:
         raise ValueError("cannot fingerprint an empty shingle set")
     data, starts, ends, _ = _encode(grams)
-    if not _single_spaced(grams, data, starts, ends):
-        grams = [" ".join(gram.split()) for gram in grams]
-        data, starts, ends, _ = _encode([gram for gram in grams if gram])
     widths = np.fromiter(
-        (gram.count(" ") + 1 if gram else 0 for gram in grams),
-        dtype=np.int64,
-        count=len(grams),
+        (gram.count(" ") + 1 for gram in grams), dtype=np.int64, count=len(grams)
     )
     rows = np.zeros(len(grams), dtype=np.int64)
     word_hashes = _word_hashes(data, starts, ends)
@@ -353,44 +324,19 @@ def estimate_jaccard(sig_a: Signature, sig_b: Signature) -> float:
     return float(np.mean(sig_a.values == sig_b.values))
 
 
-@dataclass(frozen=True)
-class LshConfig:
-    """Banding shape: ``bands * rows`` must equal the signature length."""
-
-    bands: int = 16
-    rows: int = 8
-
-    def __post_init__(self) -> None:
-        if self.bands < 1 or self.rows < 1:
-            raise ValueError("bands and rows must be >= 1")
-
-
-def band_keys(matrix: np.ndarray, config: LshConfig = LshConfig()) -> np.ndarray:
-    """Bucket key of every (signature row, band): an N x ``bands`` uint64 matrix.
+def band_keys(matrix: np.ndarray, rows: int) -> np.ndarray:
+    """Bucket key of every (signature row, band): an N x (width / ``rows``) uint64 matrix.
 
     Key (i, j) is splitmix64 of the polynomial over the ``rows``
     components of band j, so equal sub-bands collide and unequal ones
     almost never do.  Buckets are compared within one band column.
+    ``rows`` must divide the signature length.
     """
-    if config.bands * config.rows != matrix.shape[1]:
-        raise ValueError(
-            f"bands*rows = {config.bands * config.rows} does not divide "
-            f"signature of length {matrix.shape[1]}"
-        )
-    bands = matrix.reshape(matrix.shape[0], config.bands, config.rows)
+    width = matrix.shape[1]
+    if rows < 1 or width % rows:
+        raise ValueError(f"rows = {rows} does not divide signature of length {width}")
+    bands = matrix.reshape(matrix.shape[0], width // rows, rows)
     acc = np.zeros(bands.shape[:2], dtype=np.uint64)
-    for component in range(config.rows):
+    for component in range(rows):
         acc = acc * np.uint64(_POLY_BASE) + bands[:, :, component]
     return _splitmix64(acc)
-
-
-def lsh_keys(sig: Signature, config: LshConfig = LshConfig()) -> list[bytes]:
-    """One stable bucket key per band: the band index, then its :func:`band_keys` key.
-
-    Equal sub-bands collide and distinct bands never do.
-    """
-    keys = band_keys(sig.values[np.newaxis, :], config)[0].tolist()
-    return [
-        band.to_bytes(4, "little") + key.to_bytes(8, "little")
-        for band, key in enumerate(keys)
-    ]

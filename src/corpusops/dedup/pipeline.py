@@ -31,7 +31,6 @@ import numpy as np
 from corpusops.corpus import Document
 from corpusops.dedup.minhash import (
     DEFAULT_NUM_PERMUTATIONS,
-    LshConfig,
     Signature,
     band_keys,
     signature_matrix,
@@ -67,6 +66,8 @@ BATCH_WORDS = 1 << 12
 
 @dataclass(frozen=True)
 class NearDupConfig:
+    """Near-dedup settings, checked on construction, before any input is read."""
+
     num_perm: int = DEFAULT_NUM_PERMUTATIONS
     shingle_size: int = DEFAULT_SHINGLE_SIZE
     bands: int = 16
@@ -75,15 +76,14 @@ class NearDupConfig:
     perm_seed: int = 0
 
     def __post_init__(self) -> None:
+        if self.bands < 1 or self.rows < 1:
+            raise ValueError("bands and rows must be >= 1")
         if self.bands * self.rows != self.num_perm:
             raise ValueError(
                 f"bands*rows = {self.bands * self.rows} must equal "
                 f"num_perm = {self.num_perm}"
             )
-
-    @property
-    def lsh(self) -> LshConfig:
-        return LshConfig(bands=self.bands, rows=self.rows)
+        check_threshold(self.confirm_threshold)
 
 
 @dataclass
@@ -118,7 +118,7 @@ def candidate_pairs_from_buckets(
     ids = sorted(signatures)
     if not ids:
         return set()
-    keys = band_keys(np.stack([signatures[doc_id].values for doc_id in ids]), config.lsh)
+    keys = band_keys(np.stack([signatures[doc_id].values for doc_id in ids]), config.rows)
     pairs: set[tuple[str, str]] = set()
     for column in keys.T:
         rows, sizes = _buckets(column)
@@ -217,7 +217,6 @@ def near_clusters(
     sorted by smallest member id; ``stats``, when given, receives the
     bucket and confirmation counters.
     """
-    check_threshold(config.confirm_threshold)
     stats = NearDupStats() if stats is None else stats
     rankings: dict[str, Ranking] = {}
 
@@ -229,7 +228,7 @@ def near_clusters(
     size = len(documents) if size is None else size
     ids, matrix = fingerprint(ranked(documents), config, size)
     forest = UnionFind(len(ids))
-    for keys in band_keys(matrix, config.lsh).T:
+    for keys in band_keys(matrix, config.rows).T:
         _link_buckets(forest, matrix, keys, config.confirm_threshold, stats)
     return [
         replace(record, representative=choose_representative(record, rankings))

@@ -148,6 +148,15 @@ def reference_oph_signature(shingle_set, perm_seed: int, num_perm: int = 128) ->
     return out
 
 
+def reference_band_keys(values, rows: int) -> list[int]:
+    """splitmix64 of each band's polynomial, its first component the top power."""
+    base = 0xFF51AFD7ED558CCD
+    return [
+        _reference_splitmix64(_reference_polynomial(values[b : b + rows][::-1], base))
+        for b in range(0, len(values), rows)
+    ]
+
+
 # ---------------------------------------------------------------------------
 # Planted near-duplicate corpora and a single-linkage clustering oracle
 

@@ -201,6 +201,23 @@ class TestDedupNearCli:
         assert code == 2
         assert err.strip() == "error: expected non-negative integer"
 
+    @pytest.mark.parametrize("threshold", ["0", "1", "2", "nan"])
+    def test_bad_threshold_exits_2_before_the_input_is_read(
+        self, threshold, monkeypatch, capsys
+    ):
+        class Unread(io.StringIO):
+            def __iter__(self):
+                raise AssertionError("stdin was read before the threshold was checked")
+
+            read = readline = __iter__
+
+        monkeypatch.setattr(sys, "stdin", Unread())
+        code = main(["dedup-near", "--threshold", threshold])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            f"error: confirm_threshold must be in (0, 1), got {float(threshold)}\n"
+        )
+
     def test_seed_past_64_bits_is_accepted(self, monkeypatch, capsys):
         text = " ".join(f"tok{i}" for i in range(30))
         stdin = records({"id": "a", "text": text}, {"id": "b", "text": text})
@@ -934,6 +951,35 @@ class TestErrorPaths:
         argv = ["dedup-exact", "--capacity", "10", "-i", os.devnull, "-o", os.devnull]
         code, _, err = run_cli(argv, "", monkeypatch, capsys)
         assert code == 0, err
+
+    def test_clusters_naming_the_output_exits_2(self, tmp_path, monkeypatch, capsys):
+        # The cluster report is opened after the kept records are written.
+        source = tmp_path / "in.jsonl"
+        source.write_text(records({"id": "a", "text": "some text"}, {"id": "b", "text": "some text"}))
+        (tmp_path / "link").symlink_to(tmp_path)
+        out, other_name = tmp_path / "out.jsonl", tmp_path / "link" / "out.jsonl"
+        argv = ["dedup-near", "-i", str(source), "-o", str(out), "--clusters", str(other_name)]
+        error = f"error: --clusters {other_name} is also -o {out}; write to another file\n"
+        assert run_cli(argv, "", monkeypatch, capsys) == (2, "", error)
+        assert not out.exists()
+        out.write_text("earlier\n")
+        assert run_cli(argv, "", monkeypatch, capsys) == (2, "", error)
+        assert out.read_text() == "earlier\n"
+
+    def test_clusters_naming_the_input_exits_2(self, tmp_path, monkeypatch, capsys):
+        path = tmp_path / "data.jsonl"
+        content = records({"id": "a", "text": "some text"}, {"id": "b", "text": "some text"})
+        path.write_text(content)
+        (tmp_path / "link").symlink_to(tmp_path)
+        other_name = tmp_path / "link" / "data.jsonl"
+        argv = ["dedup-near", "-i", str(path), "--clusters", str(other_name)]
+        error = f"error: --clusters {other_name} is the input file; write to another file\n"
+        assert run_cli(argv, "", monkeypatch, capsys) == (2, "", error)
+        with open(path, "rb") as stdin:
+            proc = run_corpusops("dedup-near", "--clusters", str(path), stdin=stdin, text=True)
+        assert (proc.returncode, proc.stdout) == (2, "")
+        assert proc.stderr == f"error: --clusters {path} is the input file; write to another file\n"
+        assert path.read_text() == content
 
     def test_domain_errors_exit_2(self, monkeypatch, capsys):
         code, _, err = run_cli(

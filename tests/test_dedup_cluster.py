@@ -209,6 +209,15 @@ class TestNearDedupPipeline:
         with pytest.raises(ValueError):
             near_dedup(docs)
 
+    def test_config_is_checked_on_construction(self):
+        for threshold in (0.0, 1.0, 2.0, float("nan")):
+            with pytest.raises(ValueError, match="confirm_threshold must be in"):
+                NearDupConfig(confirm_threshold=threshold)
+        for shape in ({"bands": 16, "rows": 4}, {"bands": -1, "rows": -128},
+                      {"num_perm": 0, "bands": 0, "rows": 8}):
+            with pytest.raises(ValueError, match="bands"):
+                NearDupConfig(**shape)
+
     def test_staged_pipeline_equals_near_dedup(self):
         rng = random.Random(41)
         texts = planted_corpus(rng, n_groups=6, group_size=4, n_singletons=30)
@@ -301,7 +310,7 @@ class TestNearDedupPipeline:
         expected = single_linkage_clusters(range(len(rows)), lambda x, y: joined(x, y), 0.5)
         forest = UnionFind(len(rows))
         stats = NearDupStats()
-        for keys in band_keys(matrix, config.lsh).T:
+        for keys in band_keys(matrix, config.rows).T:
             pipeline._link_buckets(forest, matrix, keys, threshold, stats)
         got: dict[int, set[int]] = {}
         for row, root in enumerate(forest.roots().tolist()):
