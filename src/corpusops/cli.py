@@ -11,9 +11,11 @@ Subcommands mirror the library modules:
   plan          hyperparameter plan and sampled schedule table
   evalstats     passk / mem evaluation statistics
 
-Record streams default to stdin/stdout; use -i/-o for files (no output
-file may be the input or another output).  Progress and human-readable
-summaries go to stderr so pipelines stay clean.
+Record streams default to stdin/stdout; use -i/-o for files.  No file a
+command writes (-o, --clusters, stdout without -o) may be a file it reads
+(-i, --stats, --pairs, stdin without -i) or another that it writes; stderr,
+where dedup-near reports clusters without --clusters, is not checked.
+Progress and human-readable summaries go to stderr so pipelines stay clean.
 """
 
 from __future__ import annotations
@@ -94,58 +96,69 @@ def _rereadable(stream: IO[str]) -> Iterator[tuple[int, Callable[[], IO[str]]]]:
 
 
 @contextmanager
-def _open_out(path: str | None) -> Iterator[IO[str]]:
+def _open_out(path: str | None, stream: IO[str] | None = None) -> Iterator[IO[str]]:
+    """``path`` opened for writing; ``stream``, else stdout, for None or ``-``."""
     if path in (None, "-"):
-        yield sys.stdout
+        yield stream or sys.stdout
     else:
         with open(path, "w", encoding="utf-8") as handle:
             yield handle
 
 
-def _file_key(status: os.stat_result) -> tuple[int, int] | None:
-    """(device, inode) of a regular file; None for /dev/null, a pipe or a tty."""
+def _file_key(path: str | None, stream: str | None) -> tuple[int, int] | str | None:
+    """(device, inode) of ``path``, or for None or ``-`` of ``sys.<stream>``.
+
+    None for all but a regular file (/dev/null, a pipe, a tty, stderr, a
+    stream without a descriptor); a path not made yet is resolved instead.
+    """
+    if path not in (None, "-"):
+        try:
+            status = os.stat(path)
+        except FileNotFoundError:
+            return os.path.realpath(path)
+    elif stream is None:
+        return None
+    else:
+        try:  # the stream as it stands now, not as it was when the parser was built
+            status = os.fstat(getattr(sys, stream).fileno())
+        except (AttributeError, OSError, ValueError):  # no descriptor
+            return None
     return (status.st_dev, status.st_ino) if stat.S_ISREG(status.st_mode) else None
 
 
-def _path_key(path: str) -> tuple[int, int] | str | None:
-    """:func:`_file_key` of an existing path, else the path resolved."""
-    try:
-        return _file_key(os.stat(path))
-    except FileNotFoundError:
-        return os.path.realpath(path)
+# Kinds of file flag, as (writes, the stream "-" or an omitted flag stands
+# for): a source reads stdin, a sink writes stdout, a report writes stderr.
+_SOURCE, _SINK, _REPORT = (False, "stdin"), (True, "stdout"), (True, None)
+
+
+def _add_file(p: argparse.ArgumentParser, kind: tuple, *flags: str, **kwargs) -> None:
+    """Add a file flag to ``p`` and declare it as (flag, dest, *kind) in ``files``.
+
+    A command declares the files it reads before those it writes.  With no
+    ``flags``, it declares a stream that it always writes.
+    """
+    flag = flags[0] if flags else ""
+    dest = p.add_argument(*flags, default=None, **kwargs).dest if flags else ""
+    p.set_defaults(files=(*(p.get_default("files") or ()), (flag, dest, *kind)))
 
 
 def _check_outputs(args: argparse.Namespace) -> None:
-    """Refuse an output flag that names the input or another output flag.
+    """Refuse a file a command writes that is its input or another output.
 
     Opening an output for writing empties it: the input before a line of
-    it is read, or an output written earlier in the same command.
+    it is read, or an output written earlier.  Stdout on the input is
+    emptied by the shell (``< f > f``) or grows while read (``< f >> f``).
     """
-    outputs = [
-        (flag, path)
-        for flag, path in (("-o", getattr(args, "output", None)),
-                           ("--clusters", getattr(args, "clusters", None)))
-        if path not in (None, "-")
-    ]
-    if not outputs or not hasattr(args, "input"):
-        return
-    if args.input not in (None, "-"):
-        source = _path_key(args.input)
-    else:
-        try:
-            source = _file_key(os.fstat(sys.stdin.fileno()))
-        except (AttributeError, OSError, ValueError):  # stdin without a descriptor
-            source = None
-    taken: dict[object, str] = {}
-    for flag, path in outputs:
-        key = _path_key(path)
-        if key is None:
+    taken: dict[object, str] = {}  # "the input file", or "also <label>"
+    for flag, dest, writes, stream in args.files:
+        path = vars(args)[dest] if flag else None
+        label = stream if path in (None, "-") else f"{flag} {path}"
+        key = _file_key(path, stream)
+        if key is None or taken.get(key) == f"also {label}":  # one stream, twice
             continue
-        if key == source:
-            raise ValueError(f"{flag} {path} is the input file; write to another file")
         if key in taken:
-            raise ValueError(f"{flag} {path} is also {taken[key]}; write to another file")
-        taken[key] = f"{flag} {path}"
+            raise ValueError(f"{label} is {taken[key]}; write to another file")
+        taken[key] = f"also {label}" if writes else "the input file"
 
 
 def _report_bad_line(err) -> None:
@@ -225,13 +238,8 @@ def cmd_dedup_near(args: argparse.Namespace) -> int:
         near_clusters,
     )
 
-    config = NearDupConfig(
-        num_perm=args.perms,
-        bands=args.bands,
-        rows=args.rows,
-        confirm_threshold=args.threshold,
-        perm_seed=args.seed,
-    )
+    config = NearDupConfig(num_perm=args.perms, bands=args.bands, rows=args.rows,
+                           confirm_threshold=args.threshold, perm_seed=args.seed)
     # Ids must be unique: keep the first record of an id, and skip and
     # report a later one by its line number.  The kept ids, in line order,
     # are all the second pass needs to find the records again.
@@ -270,8 +278,7 @@ def cmd_dedup_near(args: argparse.Namespace) -> int:
 
         with _open_out(args.output) as dst:
             written = write_records(kept(), dst)
-    sink = _open_out(args.clusters) if args.clusters else nullcontext(sys.stderr)
-    with sink as dst:
+    with _open_out(args.clusters, sys.stderr) as dst:
         for record in clusters:
             _emit(
                 {
@@ -628,8 +635,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_io(p: argparse.ArgumentParser) -> None:
-        p.add_argument("-i", "--input", default=None, help="input path (default stdin)")
-        p.add_argument("-o", "--output", default=None, help="output path (default stdout)")
+        _add_file(p, _SOURCE, "-i", "--input", help="input path (default stdin)")
+        _add_file(p, _SINK, "-o", "--output", help="output path (default stdout)")
 
     p = sub.add_parser("dedup-exact", help="Bloom-filter exact dedup")
     p.add_argument("--capacity", type=int, required=True)
@@ -645,16 +652,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--rows", type=int, default=8)
     p.add_argument("--threshold", type=float, default=0.8)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument(
-        "--clusters", default=None, help="cluster report path (default: stderr)"
-    )
     add_io(p)
+    _add_file(p, _REPORT, "--clusters", help="cluster report path (default: stderr)")
     p.set_defaults(func=cmd_dedup_near)
 
     p = sub.add_parser("mix", help="mix manifest from group stats")
-    p.add_argument("--stats", required=True, help="group stats records path")
+    _add_file(p, _SOURCE, "--stats", required=True, help="group stats records path")
     p.add_argument("--target-tokens", type=int, default=None)
-    p.add_argument("-o", "--output", default=None)
+    _add_file(p, _SINK, "-o", "--output")
+    _add_file(p, _SINK)  # the table, when -o is given
     p.set_defaults(func=cmd_mix)
 
     p = sub.add_parser("transform", help="document transforms")
@@ -674,11 +680,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("pack", help="online best-fit sequence packing")
     p.add_argument("--capacity", type=int, required=True)
     p.add_argument("--max-open", type=int, default=64)
-    p.add_argument(
-        "--count-with",
-        default="whitespace",
-        help="'whitespace' or 'field:<name>' for precomputed lengths",
-    )
+    p.add_argument("--count-with", default="whitespace",
+                   help="'whitespace' or 'field:<name>' for precomputed lengths")
     add_io(p)
     p.set_defaults(func=cmd_pack)
 
@@ -687,11 +690,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--alert", required=True, help="w,Tmin,Tmax")
     p.add_argument("--restart", required=True, help="w,Tmin,Tmax")
     p.add_argument("--interval", type=int, required=True, help="checkpoint interval")
-    p.add_argument(
-        "--webhook",
-        default=None,
-        help="notification endpoint (or set CORPUSOPS_WEBHOOK)",
-    )
+    p.add_argument("--webhook", help="notification endpoint (or set CORPUSOPS_WEBHOOK)")
     add_io(p)
     p.set_defaults(func=cmd_monitor)
 
@@ -705,7 +704,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tpp-target", type=float, default=None)
     p.add_argument("--params", type=float, default=None)
     p.add_argument("--schedule", default=None, help="kind,peak,floor,warmup,total")
-    p.add_argument("-o", "--output", default=None)
+    _add_file(p, _SINK, "-o", "--output")
     p.set_defaults(func=cmd_plan)
 
     p = sub.add_parser("evalstats", help="evaluation statistics")
@@ -714,9 +713,10 @@ def build_parser() -> argparse.ArgumentParser:
     passk.add_argument("--n", type=int, required=True)
     passk.add_argument("--c", type=int, required=True)
     passk.add_argument("--k", type=int, required=True)
-    passk.set_defaults(func=cmd_evalstats_passk)
+    passk.set_defaults(func=cmd_evalstats_passk, files=())
     mem = metric.add_parser("mem", help="sentence-level memorization rate")
-    mem.add_argument("--pairs", required=True, help="sentence-pair records path")
+    _add_file(mem, _SOURCE, "--pairs", required=True, help="sentence-pair records path")
+    _add_file(mem, _SINK)
     mem.set_defaults(func=cmd_evalstats_mem)
 
     return parser

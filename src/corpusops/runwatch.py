@@ -61,7 +61,7 @@ __all__ = [
 ]
 
 MAD_TO_SIGMA = 1.4826  # matches the standard deviation under normality
-_MAD_FLOOR = 1e-8  # keeps a locally constant series from dividing by zero
+MAD_FLOOR = 1e-8  # keeps a locally constant series from dividing by zero
 _SPIKE_Z = 5.0  # spike_score flags a z-score above this
 
 
@@ -96,7 +96,6 @@ class MonitorConfig:
     total_steps: int
     webhook: str | None = None
     z_window_fraction: float = 0.01
-    mad_floor: float = _MAD_FLOOR
 
     def __post_init__(self) -> None:
         if self.checkpoint_interval < 1:
@@ -232,7 +231,7 @@ def spike_score(series: Sequence[float], window: int) -> tuple[float, bool]:
     series.
     """
     median, mad = rolling_median_mad(series, window)
-    z = (series[-1] - median) / (MAD_TO_SIGMA * max(mad, _MAD_FLOOR))
+    z = (series[-1] - median) / (MAD_TO_SIGMA * max(mad, MAD_FLOOR))
     return z, z > _SPIKE_Z
 
 
@@ -422,7 +421,6 @@ def run_monitor(
     )
     scorer = RollingMedianMad(config.z_window)
     append, median, mad = scorer.append, scorer.median, scorer.mad
-    mad_floor = config.mad_floor
     recent: deque[float] = deque(maxlen=max(alert_w, restart_w))
     alert_run = restart_run = 0  # trailing values above t_min
     alert_peak = restart_peak = -recent.maxlen  # index of the last value above t_max
@@ -451,7 +449,7 @@ def run_monitor(
                 restart_peak = index
 
             if alert_run >= alert_w and index - alert_peak < alert_w:
-                z = (value - median()) / (MAD_TO_SIGMA * max(mad(), mad_floor))
+                z = (value - median()) / (MAD_TO_SIGMA * max(mad(), MAD_FLOOR))
                 event = _window_event(1, step, recent, alert_w, z)
                 if webhook is not None:
                     webhook.put(event)
@@ -459,7 +457,7 @@ def run_monitor(
 
             if restart_run >= restart_w and index - restart_peak < restart_w:
                 if restart_armed:
-                    z = (value - median()) / (MAD_TO_SIGMA * max(mad(), mad_floor))
+                    z = (value - median()) / (MAD_TO_SIGMA * max(mad(), MAD_FLOOR))
                     rollback = rollback_step(step, config.checkpoint_interval)
                     event = _window_event(2, step, recent, restart_w, z, rollback)
                     restart_armed = False

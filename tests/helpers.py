@@ -259,9 +259,9 @@ def reference_monitor_events(points, config):
     quadratic reference, no webhook."""
     from collections import deque
 
-    from corpusops.runwatch import MonitorEvent, detect
+    from corpusops.runwatch import MAD_FLOOR, MonitorEvent, detect
 
-    scores = reference_spike_scores([p.value for p in points], config.z_window, config.mad_floor)
+    scores = reference_spike_scores([p.value for p in points], config.z_window, MAD_FLOOR)
     alert_window = deque(maxlen=config.alert.window)
     restart_window = deque(maxlen=config.restart.window)
     restart_armed = True

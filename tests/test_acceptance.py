@@ -34,6 +34,7 @@ from corpusops.recipe import (
     tau_epoch,
 )
 from corpusops.runwatch import (
+    MAD_FLOOR,
     MAD_TO_SIGMA,
     DetectorTier,
     MetricPoint,
@@ -288,11 +289,11 @@ def test_criterion_6_monitor():
             total_narrow += len(narrow_steps)
 
             # spike_score agrees with the quadratic-time reference
-            reference = reference_spike_scores(values, config.z_window, config.mad_floor)
+            reference = reference_spike_scores(values, config.z_window, MAD_FLOOR)
             tracker = RollingMedianMad(config.z_window)
             for t, value in enumerate(values):
                 median, mad = tracker.push(value)
-                z = (value - median) / (MAD_TO_SIGMA * max(mad, config.mad_floor))
+                z = (value - median) / (MAD_TO_SIGMA * max(mad, MAD_FLOOR))
                 assert median == reference[t][0]
                 assert mad == reference[t][1]
                 assert z == reference[t][2]

@@ -2,6 +2,7 @@ import io
 import json
 import os
 import random
+import subprocess
 import sys
 import tracemalloc
 
@@ -929,7 +930,8 @@ class TestErrorPaths:
         content = records({"id": "a", "text": "some text", "repo": "r", "files": [],
                            "step": 1, "loss": 1.0})
         path.write_text(content)
-        other_name = tmp_path / "." / "data.jsonl"
+        (tmp_path / "link").symlink_to(tmp_path)
+        other_name = tmp_path / "link" / "data.jsonl"
         argv = [*self.IO_COMMANDS[command], "-i", str(path), "-o", str(other_name)]
         code, out, err = run_cli(argv, "", monkeypatch, capsys)
         assert code == 2
@@ -980,6 +982,56 @@ class TestErrorPaths:
         assert (proc.returncode, proc.stdout) == (2, "")
         assert proc.stderr == f"error: --clusters {path} is the input file; write to another file\n"
         assert path.read_text() == content
+
+    # Each command run with stdout on a file, as the shell's > (mode "w")
+    # or >> (mode "a") leaves it; the error names the file it refuses.
+    STDOUT_CASES = {
+        "clusters": (["dedup-near", "-i", "{source}", "--clusters", "{path}"], "w",
+                     "--clusters {path} is also stdout"),
+        "stdin": (["dedup-exact", "--capacity", "10"], "a", "stdout is the input file"),
+        "stats": (["mix", "--stats", "{path}"], "w", "stdout is the input file"),
+        "pairs": (["evalstats", "mem", "--pairs", "{path}"], "a", "stdout is the input file"),
+    }
+
+    @pytest.mark.parametrize("case", sorted(STDOUT_CASES))
+    def test_stdout_on_a_file_the_command_opens_exits_2(self, case, tmp_path):
+        argv, mode, error = self.STDOUT_CASES[case]
+        source, path = tmp_path / "in.jsonl", tmp_path / "out.jsonl"
+        content = records({"id": "a", "text": "some text", "group": "g", "tokens": 10,
+                           "bucket": "1", "reference": "a b", "generated": "a b"})
+        source.write_text(content)
+        path.write_text(content)
+        names = {"source": source, "path": path}
+        with open(path, "rb") as stdin, open(path, mode + "b") as stdout:
+            proc = run_corpusops(*(a.format(**names) for a in argv), stdin=stdin,
+                                 stdout=stdout, stderr=subprocess.PIPE,
+                                 capture_output=False, text=True)
+        assert proc.returncode == 2
+        assert proc.stderr == f"error: {error.format(**names)}; write to another file\n"
+        assert path.read_text() == ("" if mode == "w" else content)
+
+    def test_stdout_and_pipes_that_are_not_an_input_are_allowed(self, tmp_path):
+        source, out = tmp_path / "in.jsonl", tmp_path / "out.jsonl"
+        source.write_text(records({"id": "a", "text": "some text"}))
+        # -o /dev/stdout is a path: stdout is a sink only when -o is omitted.
+        with open(out, "wb") as stdout:
+            proc = run_corpusops("dedup-exact", "--capacity", "10", "-i", str(source),
+                                 "-o", "/dev/stdout", stdout=stdout,
+                                 stderr=subprocess.PIPE, capture_output=False)
+        assert proc.returncode == 0, proc.stderr
+        assert out.read_text() == source.read_text()
+        # mix writes its records to stdout, where -o would have put them.
+        stats = records({"group": "g", "tokens": 10, "bucket": "1"})
+        source.write_text(stats)
+        with open(out, "wb") as stdout:
+            proc = run_corpusops("mix", "--stats", str(source), stdout=stdout,
+                                 stderr=subprocess.PIPE, capture_output=False)
+        assert proc.returncode == 0, proc.stderr
+        assert parse_lines(out.read_text())[0]["group"] == "g"
+        # A pipe on stdin and on stdout names no file.
+        proc = run_corpusops("mix", "--stats", "-", input=stats, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert parse_lines(proc.stdout)[0]["group"] == "g"
 
     def test_domain_errors_exit_2(self, monkeypatch, capsys):
         code, _, err = run_cli(
