@@ -12,10 +12,13 @@ negatives cannot occur, so a true duplicate is never kept.
 
 from __future__ import annotations
 
-import hashlib
 import math
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Protocol, TypeVar
+
+# CPython's built-in blake2b, the object hashlib.blake2b names: importing
+# hashlib would also load OpenSSL's libcrypto through _hashlib.
+from _blake2 import blake2b
 
 from corpusops.dedup.text import normalize
 
@@ -75,7 +78,7 @@ class BloomFilter:
         return (1.0 - math.exp(-k * self.inserted / m)) ** k
 
     def _positions(self, item: bytes) -> Iterator[int]:
-        digest = hashlib.blake2b(item, digest_size=16).digest()
+        digest = blake2b(item, digest_size=16).digest()
         h1 = int.from_bytes(digest[:8], "little")
         h2 = int.from_bytes(digest[8:], "little") | 1
         for i in range(self.num_hashes):
@@ -119,7 +122,7 @@ class DedupStats:
 
 def content_digest(text: str) -> bytes:
     """Digest of the normalized text, the identity used for exact dedup."""
-    return hashlib.blake2b(normalize(text).encode("utf-8"), digest_size=16).digest()
+    return blake2b(normalize(text).encode("utf-8"), digest_size=16).digest()
 
 
 def exact_dedup(

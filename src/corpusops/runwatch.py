@@ -34,6 +34,11 @@ except that the first post to fail after the end drops whatever is still
 queued, so a dead endpoint delays the end by at most one post timeout.
 A failed post during the stream is logged; the dropped events are counted
 in one warning at the end.
+
+A post is one HTTP/1.1 ``POST`` with ``Connection: close`` on a fresh
+socket: TLS only for an ``https://`` URL, no proxy, no redirect.  Only the
+status line of the reply is read, and any status but 2xx is a failure.
+The URL is checked and parsed once, when the config is made.
 """
 
 from __future__ import annotations
@@ -42,7 +47,7 @@ import json
 import threading
 from bisect import bisect_left, insort
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import islice
 from math import isfinite
 from typing import Iterable, Iterator, NamedTuple, Sequence
@@ -96,12 +101,16 @@ class MonitorConfig:
     total_steps: int
     webhook: str | None = None
     z_window_fraction: float = 0.01
+    _endpoint: _Endpoint | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.checkpoint_interval < 1:
             raise ValueError("checkpoint_interval must be >= 1")
         if self.total_steps < 1:
             raise ValueError("total_steps must be >= 1")
+        if self.webhook:
+            # Parsed here, so a bad URL fails before any input is read.
+            object.__setattr__(self, "_endpoint", _parse_webhook(self.webhook))
 
     @property
     def z_window(self) -> int:
@@ -292,16 +301,73 @@ def _warn(message: str, *args: object) -> None:
     logging.getLogger(__name__).warning(message, *args)
 
 
-def _post_webhook(url: str, event: MonitorEvent) -> None:
-    # Imported here so a monitor that never posts does not load urllib
-    # (and with it http.client and email).
-    import urllib.request
+class _Endpoint(NamedTuple):
+    """A webhook URL, parsed once; a post adds only the body and its length."""
+
+    host: str
+    port: int
+    tls: bool
+    head: bytes  # request line and headers, up to the Content-Length value
+
+
+def _parse_webhook(url: str) -> _Endpoint:
+    from urllib.parse import urlsplit
+
+    if not url.isascii() or not url.isprintable() or " " in url:
+        raise ValueError(f"webhook URL must be printable ASCII without spaces, got {url!r}")
+    parts = urlsplit(url)
+    if parts.scheme not in ("http", "https") or not parts.hostname:
+        raise ValueError(f"webhook must be an http:// or https:// URL with a host, got {url!r}")
+    tls = parts.scheme == "https"
+    try:
+        port = parts.port
+    except ValueError as exc:
+        raise ValueError(f"webhook URL {url!r}: {exc}") from None
+    if port is None:
+        port = 443 if tls else 80
+    target = (parts.path or "/") + (f"?{parts.query}" if parts.query else "")
+    head = (
+        f"POST {target} HTTP/1.1\r\n"
+        f"Host: {parts.netloc.rpartition('@')[2]}\r\n"
+        "Content-Type: application/json\r\n"
+        "Connection: close\r\n"
+        "Content-Length: "
+    )
+    return _Endpoint(parts.hostname, port, tls, head.encode("ascii"))
+
+
+_STATUS_LINE_LIMIT = 1024  # bytes of the reply read for its status line
+
+
+def _post_webhook(endpoint: _Endpoint, event: MonitorEvent) -> None:
+    # A bare socket: urllib.request would load http.client, email and ssl
+    # (OpenSSL) for one small POST.  ssl is imported for https:// only.
+    import socket
 
     body = json.dumps(event.to_json()).encode("utf-8")
-    request = urllib.request.Request(
-        url, data=body, headers={"Content-Type": "application/json"}
-    )
-    urllib.request.urlopen(request, timeout=_POST_TIMEOUT).close()
+    sock = socket.create_connection((endpoint.host, endpoint.port), timeout=_POST_TIMEOUT)
+    try:
+        if endpoint.tls:
+            import ssl
+
+            sock = ssl.create_default_context().wrap_socket(
+                sock, server_hostname=endpoint.host
+            )
+        sock.sendall(b"%s%d\r\n\r\n%s" % (endpoint.head, len(body), body))
+        reply = b""
+        while b"\n" not in reply and len(reply) < _STATUS_LINE_LIMIT:
+            chunk = sock.recv(_STATUS_LINE_LIMIT - len(reply))
+            if not chunk:
+                break
+            reply += chunk
+    finally:
+        sock.close()
+    version, _, rest = reply.partition(b"\n")[0].rstrip().partition(b" ")
+    code, _, reason = rest.partition(b" ")
+    if not version.startswith(b"HTTP/") or len(code) != 3 or not code.isdigit():
+        raise OSError(f"no HTTP status line from the webhook: {reply[:80]!r}")
+    if code[:1] != b"2":
+        raise OSError(f"webhook replied {code.decode()} {reason.decode('latin-1')}".rstrip())
 
 
 class _WebhookWorker:
@@ -312,8 +378,8 @@ class _WebhookWorker:
     failed post drops whatever is still queued.
     """
 
-    def __init__(self, url: str):
-        self.url = url
+    def __init__(self, endpoint: _Endpoint):
+        self.endpoint = endpoint
         self.queue: deque[MonitorEvent] = deque(maxlen=WEBHOOK_QUEUE_BOUND)
         self.ready = threading.Condition()
         self.thread: threading.Thread | None = None
@@ -324,11 +390,6 @@ class _WebhookWorker:
 
     def put(self, event: MonitorEvent) -> None:
         if self.thread is None:
-            # Loaded here rather than by the worker's first post, so the
-            # module's objects land in this thread's malloc arena instead
-            # of a new one (about 1 MB less peak RSS in monitor-replay).
-            import urllib.request  # noqa: F401
-
             self.thread = threading.Thread(
                 target=self._run, name="corpusops-webhook", daemon=True
             )
@@ -348,7 +409,7 @@ class _WebhookWorker:
                     return
                 event = self.queue.popleft()
             try:
-                _post_webhook(self.url, event)
+                _post_webhook(self.endpoint, event)
             except Exception as exc:  # any failed post, never the stream
                 with self.ready:
                     if self.closed:
@@ -364,12 +425,17 @@ class _WebhookWorker:
             self.closed = True
             self.ready.notify()
         self.thread.join()
+        if self.final_failure is not None and not self.abandoned:
+            _warn(
+                "webhook delivery failed for step %d after the stream ended: %s",
+                *self.final_failure,
+            )
         reasons = []
         if self.overflowed:
             reasons.append(
                 f"{self.overflowed} oldest past the queue bound of {self.queue.maxlen}"
             )
-        if self.final_failure is not None:
+        if self.abandoned:
             step, exc = self.final_failure
             reasons.append(
                 f"{self.abandoned} still queued when the post for step {step} "
@@ -426,7 +492,7 @@ def run_monitor(
     alert_peak = restart_peak = -recent.maxlen  # index of the last value above t_max
     restart_armed = True
     last_step: int | None = None
-    webhook = _WebhookWorker(config.webhook) if config.webhook else None
+    webhook = _WebhookWorker(config._endpoint) if config._endpoint else None
 
     try:
         for index, point in enumerate(metrics):

@@ -2,19 +2,24 @@
 
 Everything here is deliberately naive (set arithmetic, exhaustive
 enumeration, quadratic scans) so it can serve as an oracle for the
-production implementations without sharing their code paths.  The one
-exception is :func:`run_python`, which starts child interpreters.
+production implementations without sharing their code paths.  The
+exceptions are :func:`run_python`, which starts child interpreters, and
+:func:`webhook_receiver`, a local HTTP server.
 """
 
 from __future__ import annotations
 
+import contextlib
+import http.server
 import itertools
+import json
 import math
 import os
 import pathlib
 import random
 import subprocess
 import sys
+import threading
 
 import corpusops
 
@@ -54,6 +59,39 @@ def run_python(*args: str, env: dict | None = None, **kwargs) -> subprocess.Comp
 def run_corpusops(*argv: str, **kwargs) -> subprocess.CompletedProcess:
     """``corpusops *argv`` in a child process, through :func:`run_python`."""
     return run_python("-m", "corpusops", *argv, **kwargs)
+
+
+class WebhookCapture(http.server.BaseHTTPRequestHandler):
+    """Stores each POST and answers it with ``status``."""
+
+    received: list[dict] = []  # parsed bodies
+    requests: list[tuple] = []  # (path, headers, raw body)
+    status = 200
+
+    def do_POST(self):
+        length = int(self.headers["Content-Length"])
+        body = self.rfile.read(length)
+        type(self).requests.append((self.path, self.headers, body))
+        type(self).received.append(json.loads(body))
+        self.send_response(type(self).status)
+        self.end_headers()
+
+    def log_message(self, *args):
+        pass
+
+
+@contextlib.contextmanager
+def webhook_receiver():
+    """Serve :class:`WebhookCapture`, reset, on 127.0.0.1; yields the hook URL."""
+    WebhookCapture.received, WebhookCapture.requests, WebhookCapture.status = [], [], 200
+    server = http.server.HTTPServer(("127.0.0.1", 0), WebhookCapture)
+    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    thread.start()
+    try:
+        yield f"http://127.0.0.1:{server.server_port}/hook"
+    finally:
+        server.shutdown()
+        server.server_close()
 
 
 

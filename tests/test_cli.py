@@ -20,7 +20,14 @@ from corpusops.dedup import (
     near_dedup,
     signature_matrix,
 )
-from helpers import mutate_document, random_words, run_corpusops, run_python
+from helpers import (
+    WebhookCapture,
+    mutate_document,
+    random_words,
+    run_corpusops,
+    run_python,
+    webhook_receiver,
+)
 
 
 def run_cli(args, stdin_text="", monkeypatch=None, capsys=None):
@@ -660,6 +667,27 @@ class TestMonitorCli:
         assert code == 0
         assert any(e["tier"] == 2 for e in parse_lines(out))
 
+    @pytest.mark.parametrize(
+        "flag, env",
+        [(["--webhook", "notaurl"], {}), ([], {"CORPUSOPS_WEBHOOK": "ftp://x/y"})],
+        ids=["flag", "environment"],
+    )
+    def test_bad_webhook_exits_2_before_any_file_is_opened(self, flag, env, tmp_path):
+        url = flag[1] if flag else env["CORPUSOPS_WEBHOOK"]
+        out = tmp_path / "events.jsonl"
+        out.write_text("kept\n")
+        stdin = records(*({"step": i, "loss": 5.0} for i in range(10)))
+        environ = {k: v for k, v in os.environ.items() if k != "CORPUSOPS_WEBHOOK"}
+        proc = run_corpusops(
+            *self.ARGS, *flag, "-o", str(out), input=stdin, text=True, env={**environ, **env}
+        )
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert proc.stderr == (
+            f"error: webhook must be an http:// or https:// URL with a host, got {url!r}\n"
+        )
+        assert out.read_text() == "kept\n"
+
     def test_events_with_rollback(self, monkeypatch, capsys):
         values = [1.0] * 20 + [5.0] * 8 + [1.0] * 10
         stdin = records(*({"step": 1030 + i, "loss": v} for i, v in enumerate(values)))
@@ -1049,14 +1077,18 @@ def test_module_entry_point_subprocess():
 
 
 class TestImportsPerCommand:
-    """Commands other than dedup-near run without numpy or urllib, and
-    commands on clean input without logging."""
+    """Commands other than dedup-near run without numpy; every command,
+    ``monitor`` posting to an http:// webhook included, runs without
+    urllib.request, http.client or OpenSSL (ssl, _hashlib); commands on
+    clean input run without logging.  hashlib is blocked too, because it
+    falls back to its built-in hashes when _hashlib is missing."""
 
+    BLOCKED = (
+        "numpy", "urllib.request", "http.client", "ssl", "_hashlib", "hashlib", "logging",
+    )
     BLOCKED_RUN = (
         "import sys\n"
-        "sys.modules['numpy'] = None\n"
-        "sys.modules['urllib.request'] = None\n"
-        "sys.modules['logging'] = None\n"
+        f"sys.modules.update(dict.fromkeys({BLOCKED!r}))\n"
         "from corpusops.cli import main\n"
         "sys.exit(main(sys.argv[1:]))\n"
     )
@@ -1067,7 +1099,7 @@ class TestImportsPerCommand:
     def test_importing_the_cli_loads_neither(self):
         proc = self.run_python(
             "import sys, corpusops.cli\n"
-            "print(sorted({'numpy', 'urllib.request', 'logging'} & set(sys.modules)))"
+            f"print(sorted(set({self.BLOCKED!r}) & set(sys.modules)))"
         )
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "[]"
@@ -1111,7 +1143,7 @@ class TestImportsPerCommand:
         assert proc.stdout.strip()
 
     def test_monitor_without_events_never_loads_urllib(self, tmp_path):
-        # The webhook worker and urllib start with the first event only.
+        # The webhook worker starts with the first event only.
         losses = tmp_path / "losses.jsonl"
         losses.write_text(records(*({"step": i, "loss": 1.0} for i in range(50))))
         proc = self.run_python(
@@ -1121,6 +1153,24 @@ class TestImportsPerCommand:
         )
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout == proc.stderr == ""
+
+    def test_monitor_posts_every_event_without_urllib_or_openssl(self, tmp_path):
+        losses = tmp_path / "losses.jsonl"
+        losses.write_text(records(
+            *({"step": 1030 + i, "loss": v}
+              for i, v in enumerate([1.0] * 20 + [5.0] * 8 + [1.0] * 10))
+        ))
+        with webhook_receiver() as url:
+            proc = self.run_python(
+                self.BLOCKED_RUN, "monitor", "--total-steps", "2000", "--alert", "3,2.0,3.0",
+                "--restart", "5,2.5,4.0", "--interval", "500", "--webhook", url,
+                "-i", str(losses),
+            )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stderr == ""
+        events = parse_lines(proc.stdout)
+        assert any(e["tier"] == 2 for e in events)
+        assert WebhookCapture.received == events
 
     def test_dedup_near_loads_neither_numpy_random_nor_numpy_ma(self, tmp_path):
         docs = tmp_path / "docs.jsonl"

@@ -1,10 +1,12 @@
+import _blake2
+import hashlib
 import math
 import random
 
 import pytest
 
 from corpusops.corpus import Document
-from corpusops.dedup import BloomConfig, BloomFilter, exact_dedup
+from corpusops.dedup import BloomConfig, BloomFilter, bloom, exact_dedup
 
 
 def doc(i, text):
@@ -111,3 +113,12 @@ class TestExactDedup:
         k, m = config.num_hashes, config.num_bits
         assert stats.live_fpr == pytest.approx((1 - math.exp(-k * 8 / m)) ** k)
         assert stats.live_fpr > config.target_fpr
+
+
+def test_digest_is_hashlibs_blake2b():
+    # bloom takes blake2b from _blake2 so dedup-exact never loads OpenSSL;
+    # this is the very function hashlib names, so digests cannot differ.
+    assert bloom.blake2b is hashlib.blake2b is _blake2.blake2b
+    assert bloom.content_digest("Hello,  World") == hashlib.blake2b(
+        b"hello world", digest_size=16
+    ).digest()

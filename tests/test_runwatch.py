@@ -1,14 +1,11 @@
-import http.server
-import io
 import json
 import logging
 import math
 import random
+import socket
 import sys
 import threading
 import time
-import urllib.error
-import urllib.request
 
 import pytest
 from hypothesis import example, given, settings
@@ -26,7 +23,12 @@ from corpusops.runwatch import (
     run_monitor,
     spike_score,
 )
-from helpers import reference_monitor_events, reference_spike_scores
+from helpers import (
+    WebhookCapture,
+    reference_monitor_events,
+    reference_spike_scores,
+    webhook_receiver,
+)
 
 ALERT = DetectorTier(name="alert", window=3, t_min=2.0, t_max=3.0)
 RESTART = DetectorTier(name="restart", window=5, t_min=2.5, t_max=4.0)
@@ -457,28 +459,10 @@ class TestRunMonitor:
         assert [json.dumps(e.to_json()) for e in got] == [json.dumps(e.to_json()) for e in expected]
 
 
-class _Capture(http.server.BaseHTTPRequestHandler):
-    received: list[dict] = []
-
-    def do_POST(self):
-        length = int(self.headers["Content-Length"])
-        type(self).received.append(json.loads(self.rfile.read(length)))
-        self.send_response(200)
-        self.end_headers()
-
-    def log_message(self, *args):
-        pass
-
-
 @pytest.fixture
 def webhook_server():
-    _Capture.received = []
-    server = http.server.HTTPServer(("127.0.0.1", 0), _Capture)
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
-    thread.start()
-    yield f"http://127.0.0.1:{server.server_port}/hook", _Capture.received
-    server.shutdown()
-    server.server_close()
+    with webhook_receiver() as url:
+        yield url, WebhookCapture.received
 
 
 class TestWebhook:
@@ -505,6 +489,101 @@ class TestWebhook:
         )
         assert [e for e in events if e.tier == 2]
 
+    @pytest.mark.parametrize(
+        "url, message",
+        [
+            ("notaurl", "http:// or https:// URL with a host"),
+            ("ftp://x/y", "http:// or https:// URL with a host"),
+            ("http:///no-host", "http:// or https:// URL with a host"),
+            ("http://h:99999/", "Port out of range"),
+            ("http://h/a b", "printable ASCII without spaces"),
+            ("http://h/\r\nX-Injected: 1", "printable ASCII without spaces"),
+        ],
+    )
+    def test_bad_url_is_refused_by_the_config(self, url, message):
+        with pytest.raises(ValueError, match=message):
+            config(webhook=url)
+
+    def test_error_status_is_a_failed_post_and_is_logged(self, webhook_server, caplog):
+        url, received = webhook_server
+        WebhookCapture.status = 500
+        values = [1.0] * 5 + [5.0] * 3  # one alert event, at step 7
+        events = list(run_monitor(stream(values), config(restart=QUIET, webhook=url)))
+        assert [e.step for e in events] == [7]
+        assert len(received) == 1
+        (warning,) = warnings_of(caplog)
+        # During the stream or after its end, whichever the post lands in.
+        assert warning.startswith("webhook delivery failed for step 7")
+        assert warning.endswith(": webhook replied 500 Internal Server Error")
+
+    def test_query_string_and_host_with_port_reach_the_server(self, webhook_server):
+        url, _ = webhook_server
+        port = url.split(":")[2].split("/")[0]
+        values = [1.0] * 5 + [5.0] * 3
+        list(run_monitor(stream(values), config(restart=QUIET, webhook=f"{url}?run=a%20b&n=7")))
+        ((path, headers, _),) = WebhookCapture.requests
+        assert path == "/hook?run=a%20b&n=7"
+        assert headers["Host"] == f"127.0.0.1:{port}"
+        assert headers["Content-Type"] == "application/json"
+        assert headers["Connection"] == "close"
+
+    def test_body_is_the_event_json(self, webhook_server):
+        url, _ = webhook_server
+        values = [1.0] * 10 + [5.0] * 6 + [1.0] * 5
+        events = list(run_monitor(stream(values), config(webhook=url)))
+        bodies = [body for _, _, body in WebhookCapture.requests]
+        assert bodies == [json.dumps(e.to_json()).encode("utf-8") for e in events]
+        assert any(e.tier == 2 for e in events)
+
+    @pytest.mark.parametrize(
+        "reply, error",
+        [
+            (b"HTTP/1.1 204\r\n\r\n", None),
+            (b"HTTP/1.0 200 OK\r\nServer: x\r\n\r\n", None),
+            (b"HTTP/1.1 302 Found\r\nLocation: /elsewhere\r\n\r\n", "webhook replied 302 Found"),
+            (b"HTTP/1.1 404\r\n\r\n", "webhook replied 404$"),
+            (b"SSH-2.0-OpenSSH\r\n", "no HTTP status line"),
+            (b"", "no HTTP status line"),
+        ],
+    )
+    def test_status_line_decides_the_post(self, reply, error):
+        server = socket.create_server(("127.0.0.1", 0))
+        requests = []
+
+        def answer_once():
+            conn, _ = server.accept()
+            with conn:
+                requests.append(conn.recv(4096))
+                conn.sendall(reply)
+
+        thread = threading.Thread(target=answer_once)
+        thread.start()
+        try:
+            endpoint = runwatch._parse_webhook(f"http://127.0.0.1:{server.getsockname()[1]}/")
+            event = runwatch.MonitorEvent(1, 7, 5.0, 5.0, 0.0)
+            if error is None:
+                runwatch._post_webhook(endpoint, event)
+            else:
+                with pytest.raises(OSError, match=error):
+                    runwatch._post_webhook(endpoint, event)
+        finally:
+            thread.join(10)
+            server.close()
+        assert requests[0].startswith(b"POST / HTTP/1.1\r\n")
+
+    def test_https_to_a_plain_server_fails_and_closes_its_socket(self, webhook_server, caplog):
+        # The TLS handshake fails; a socket left open would raise
+        # ResourceWarning, an error in this suite.
+        url, received = webhook_server
+        values = [1.0] * 5 + [5.0] * 3
+        events = list(run_monitor(
+            stream(values), config(restart=QUIET, webhook=url.replace("http:", "https:", 1))
+        ))
+        assert [e.step for e in events] == [7]
+        assert received == []
+        (warning,) = warnings_of(caplog)
+        assert warning.startswith("webhook delivery failed for step 7")
+
 
 URL = "http://hook.invalid/events"
 QUIET = DetectorTier(name="restart", window=5, t_min=10.0, t_max=20.0)  # never fires
@@ -512,14 +591,13 @@ QUIET = DetectorTier(name="restart", window=5, t_min=10.0, t_max=20.0)  # never 
 
 @pytest.fixture
 def posted(monkeypatch):
-    """Steps the webhook received, through a fake ``urlopen``."""
+    """Steps the webhook received, through a fake ``_post_webhook``."""
     steps = []
 
-    def fake_urlopen(request, timeout):
-        steps.append(json.loads(request.data)["step"])
-        return io.BytesIO()
+    def fake_post(endpoint, event):
+        steps.append(event.step)
 
-    monkeypatch.setattr(urllib.request, "urlopen", fake_urlopen)
+    monkeypatch.setattr(runwatch, "_post_webhook", fake_post)
     return steps
 
 
@@ -558,13 +636,12 @@ class TestWebhookWorker:
         first_post, release = threading.Event(), threading.Event()
         steps = []
 
-        def held_urlopen(request, timeout):
+        def held_post(endpoint, event):
             first_post.set()
             release.wait(10)
-            steps.append(json.loads(request.data)["step"])
-            return io.BytesIO()
+            steps.append(event.step)
 
-        monkeypatch.setattr(urllib.request, "urlopen", held_urlopen)
+        monkeypatch.setattr(runwatch, "_post_webhook", held_post)
 
         def points():
             # Alert events at steps 7-12; step 7's post holds the worker
@@ -586,12 +663,12 @@ class TestWebhookWorker:
         hang = 0.4  # stands in for the post timeout
         steps = []
 
-        def dead_urlopen(request, timeout):
-            steps.append(json.loads(request.data)["step"])
+        def dead_post(endpoint, event):
+            steps.append(event.step)
             time.sleep(hang)
-            raise urllib.error.URLError("timed out")
+            raise TimeoutError("timed out")
 
-        monkeypatch.setattr(urllib.request, "urlopen", dead_urlopen)
+        monkeypatch.setattr(runwatch, "_post_webhook", dead_post)
         start = time.perf_counter()
         events = list(run_monitor(stream([5.0] * 6), config(restart=QUIET, webhook=URL)))
         elapsed = time.perf_counter() - start
@@ -605,6 +682,18 @@ class TestWebhookWorker:
             "for step 2 failed after the stream ended: "
         )
 
+    def test_failed_last_post_with_nothing_queued_names_its_step(self, monkeypatch, caplog):
+        def dead_post(endpoint, event):
+            time.sleep(0.2)  # the stream ends while this post hangs
+            raise TimeoutError("timed out")
+
+        monkeypatch.setattr(runwatch, "_post_webhook", dead_post)
+        events = list(run_monitor(stream([5.0] * 3), config(restart=QUIET, webhook=URL)))
+        assert [e.step for e in events] == [2]
+        assert warnings_of(caplog) == [
+            "webhook delivery failed for step 2 after the stream ended: timed out"
+        ]
+
     @pytest.mark.parametrize("bound", [4096, 3])
     def test_concurrent_monitors_lose_no_event_uncounted(self, bound, monkeypatch, caplog):
         # Three monitors, each with its own worker, on a two-core host with
@@ -613,11 +702,10 @@ class TestWebhookWorker:
         monkeypatch.setattr(runwatch, "WEBHOOK_QUEUE_BOUND", bound)
         posted = {}
 
-        def fake_urlopen(request, timeout):
-            posted.setdefault(request.full_url, []).append(json.loads(request.data)["step"])
-            return io.BytesIO()
+        def fake_post(endpoint, event):
+            posted.setdefault(endpoint, []).append(event.step)
 
-        monkeypatch.setattr(urllib.request, "urlopen", fake_urlopen)
+        monkeypatch.setattr(runwatch, "_post_webhook", fake_post)
         values = ([1.0] * 7 + [5.0] * 60) * 12
         emitted = {}
 
@@ -642,7 +730,7 @@ class TestWebhookWorker:
         )
         missing = 0
         for url in urls:
-            steps, delivered = emitted[url], posted.get(url, [])
+            steps, delivered = emitted[url], posted.get(runwatch._parse_webhook(url), [])
             assert len(steps) > 700
             remaining = iter(steps)
             assert all(step in remaining for step in delivered)  # in order
