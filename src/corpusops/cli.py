@@ -13,9 +13,12 @@ Subcommands mirror the library modules:
 
 Record streams default to stdin/stdout; use -i/-o for files.  No file a
 command writes (-o, --clusters, stdout without -o) may be a file it reads
-(-i, --stats, --pairs, stdin without -i) or another that it writes; stderr,
-where dedup-near reports clusters without --clusters, is not checked.
+(-i, --stats, --pairs, stdin without -i) or another that it writes, and
+stderr may not be a file it reads.
 Progress and human-readable summaries go to stderr so pipelines stay clean.
+A record a command cannot use is skipped and reported on stderr as
+``line N: <reason>``; a bad flag value, or a file refused above, exits 2
+with an error line before any input is read.
 """
 
 from __future__ import annotations
@@ -29,6 +32,7 @@ import stat
 import sys
 from contextlib import contextmanager, nullcontext
 from dataclasses import asdict, replace
+from functools import partial
 from typing import IO, Any, Callable, Iterator, NamedTuple
 
 from corpusops import __version__
@@ -38,7 +42,6 @@ from corpusops.corpus import (
     decode_line,
     line_id,
     parse_record,
-    read_records,
     read_rows,
     word_count,
     write_records,
@@ -108,8 +111,9 @@ def _open_out(path: str | None, stream: IO[str] | None = None) -> Iterator[IO[st
 def _file_key(path: str | None, stream: str | None) -> tuple[int, int] | str | None:
     """(device, inode) of ``path``, or for None or ``-`` of ``sys.<stream>``.
 
-    None for all but a regular file (/dev/null, a pipe, a tty, stderr, a
-    stream without a descriptor); a path not made yet is resolved instead.
+    None for all but a regular file (/dev/null, a pipe, a tty, a stream
+    without a descriptor) and for ``stream`` None, which a report flag left
+    to stderr gives; a path not made yet is resolved instead.
     """
     if path not in (None, "-"):
         try:
@@ -146,8 +150,9 @@ def _check_outputs(args: argparse.Namespace) -> None:
     """Refuse a file a command writes that is its input or another output.
 
     Opening an output for writing empties it: the input before a line of
-    it is read, or an output written earlier.  Stdout on the input is
-    emptied by the shell (``< f > f``) or grows while read (``< f >> f``).
+    it is read, or an output written earlier.  Stdout or stderr on the
+    input is emptied by the shell (``< f > f``) or grows while read
+    (``< f 2>> f``); stderr is checked against inputs only (``> f 2>&1``).
     """
     taken: dict[object, str] = {}  # "the input file", or "also <label>"
     for flag, dest, writes, stream in args.files:
@@ -159,6 +164,8 @@ def _check_outputs(args: argparse.Namespace) -> None:
         if key in taken:
             raise ValueError(f"{label} is {taken[key]}; write to another file")
         taken[key] = f"also {label}" if writes else "the input file"
+    if taken.get(_file_key(None, "stderr")) == "the input file":
+        raise ValueError("stderr is the input file; write to another file")
 
 
 def _report_bad_line(err) -> None:
@@ -353,18 +360,13 @@ def cmd_transform_fim(args: argparse.Namespace) -> int:
     config = FimConfig(rng_seed=args.seed, mode_psm_probability=args.psm_probability)
     rng = random.Random(args.seed)
 
-    def transformed() -> Iterator[Document]:
-        with _open_in(args.input) as src:
-            for doc in read_records(src, on_error=_report_bad_line):
-                try:
-                    text = fim_transform(doc.text, config, rng)
-                except ValueError as exc:
-                    print(f"skipping {doc.id}: {exc}", file=sys.stderr)
-                    continue
-                yield replace(doc, text=text)
+    # fim_transform checks the text before it draws from rng: a skip moves no cut.
+    def parse(line: str, line_number: int) -> Document:
+        doc = parse_record(line, line_number)
+        return replace(doc, text=fim_transform(doc.text, config, rng))
 
-    with _open_out(args.output) as dst:
-        write_records(transformed(), dst)
+    with _open_in(args.input) as src, _open_out(args.output) as dst:
+        write_records(read_rows(src, parse, on_error=_report_bad_line), dst)
     return 0
 
 
@@ -392,7 +394,7 @@ def cmd_transform_topo(args: argparse.Namespace) -> int:
         # as parse_record does.
         row = decode_line(line)
         if isinstance(row, dict) and row.get("repo") is None:
-            row["repo"] = f"line-{line_number}"
+            row["repo"] = line_id(line_number)
         return row
 
     parse = _row_parser(concat, '"files" of {"path", "text"} objects', load=load)
@@ -426,59 +428,49 @@ def cmd_transform_qa(args: argparse.Namespace) -> int:
 # pack
 
 
-def _length_for(doc: Document, counter: str) -> int:
+def _length_counter(counter: str) -> Callable[[Document], int]:
+    """``--count-with``: a record's length as its word count or a field."""
     if counter == "whitespace":
-        return word_count(doc.text)
-    field_name = counter.split(":", 1)[1]
-    raw = doc.extra.get(field_name)
-    if raw is None:
-        raise ValueError(f"record {doc.id} is missing length field {field_name!r}")
-    try:
-        return int(raw)
-    except (TypeError, OverflowError):
-        raise ValueError(
-            f"record {doc.id} has a non-integer {field_name!r}: {raw!r}"
-        ) from None
+        return lambda doc: word_count(doc.text)
+    if not counter.startswith("field:"):
+        raise argparse.ArgumentTypeError(
+            f"expects 'whitespace' or 'field:<name>' (got {counter!r})")
+    field_name = counter[len("field:"):]
+
+    def length(doc: Document) -> int:
+        raw = doc.extra.get(field_name)
+        if raw is None:
+            raise ValueError(f"record {doc.id} is missing length field {field_name!r}")
+        try:
+            return int(raw)
+        except (TypeError, OverflowError):
+            raise ValueError(
+                f"record {doc.id} has a non-integer {field_name!r}: {raw!r}"
+            ) from None
+
+    return length
 
 
 def cmd_pack(args: argparse.Namespace) -> int:
-    if args.count_with != "whitespace" and not args.count_with.startswith("field:"):
-        raise SystemExit("--count-with must be 'whitespace' or 'field:<name>'")
     from corpusops.packing import PackInput, pack_online
 
+    # PackInput rejects an empty document (length 0) like any bad record.
     def parse(line: str, line_number: int) -> PackInput:
         doc = parse_record(line, line_number)
-        return PackInput(id=doc.id, length=_length_for(doc, args.count_with))
+        return PackInput(id=doc.id, length=args.count_with(doc))
 
-    def inputs() -> Iterator[PackInput]:
-        with _open_in(args.input) as src:
-            for item in read_rows(src, parse, on_error=_report_bad_line):
-                if item.length < 1:
-                    print(f"skipping empty document {item.id}", file=sys.stderr)
-                    continue
-                yield item
-
-    sequences, stats = pack_online(inputs(), args.capacity, args.max_open)
-    with _open_out(args.output) as dst:
-        for seq in sequences:
-            _emit(
-                {
-                    "capacity": seq.capacity,
-                    "entries": [{"id": i, "len": n} for i, n in seq.entries],
-                    "padding": seq.padding,
-                },
-                dst,
-            )
-        _emit(
-            {
-                "sequences": stats.sequences,
-                "docs_packed": stats.docs_packed,
-                "docs_skipped": stats.docs_skipped,
-                "truncation_ratio": stats.truncation_ratio,
-                "padding_ratio": stats.padding_ratio,
-            },
-            dst,
-        )
+    with _open_in(args.input) as src:
+        # pack_online checks --capacity and --max-open before -o is opened.
+        rows = read_rows(src, parse, on_error=_report_bad_line)
+        sequences, stats = pack_online(rows, args.capacity, args.max_open)
+        with _open_out(args.output) as dst:
+            for seq in sequences:
+                entries = [{"id": i, "len": n} for i, n in seq.entries]
+                _emit(dict(capacity=seq.capacity, entries=entries, padding=seq.padding), dst)
+            _emit({"sequences": stats.sequences, "docs_packed": stats.docs_packed,
+                   "docs_skipped": stats.docs_skipped,
+                   "truncation_ratio": stats.truncation_ratio,
+                   "padding_ratio": stats.padding_ratio}, dst)
     return 0
 
 
@@ -495,13 +487,16 @@ def _parse_tier(name: str, value: str) -> DetectorTier:
             name=name, window=int(window), t_min=float(t_min), t_max=float(t_max)
         )
     except ValueError as exc:
-        raise SystemExit(f"--{name} expects w,Tmin,Tmax (got {value!r}): {exc}")
+        raise argparse.ArgumentTypeError(f"expects w,Tmin,Tmax (got {value!r}): {exc}")
 
 
 def cmd_monitor(args: argparse.Namespace) -> int:
     from corpusops.runwatch import MonitorConfig, run_monitor
 
+    last_step = -math.inf  # a log replayed after a rollback repeats steps
+
     def point(row: dict) -> tuple[int, float]:
+        nonlocal last_step
         step, loss = row["step"], row["loss"]
         # JSON numbers only: int() and float() would also take true or "7.5".
         # The common types are tested first, so most rows convert nothing.
@@ -515,12 +510,15 @@ def cmd_monitor(args: argparse.Namespace) -> int:
             loss = float(loss)
         if not math.isfinite(loss):
             raise ValueError(f'"loss" must be finite, got {loss}')
+        if step <= last_step:
+            raise ValueError(f"steps must be strictly increasing: {step} after {last_step}")
+        last_step = step
         return step, loss
 
     parse = _row_parser(point, 'numeric "step" and "loss"')
     config = MonitorConfig(
-        alert=_parse_tier("alert", args.alert),
-        restart=_parse_tier("restart", args.restart),
+        alert=args.alert,
+        restart=args.restart,
         checkpoint_interval=args.interval,
         total_steps=args.total_steps,
         webhook=args.webhook or os.environ.get("CORPUSOPS_WEBHOOK"),
@@ -550,21 +548,18 @@ def _parse_schedule(value: str) -> Schedule:
             total_steps=int(total),
         )
     except ValueError as exc:
-        raise SystemExit(
-            f"--schedule expects kind,peak,floor,warmup,total (got {value!r}): {exc}"
+        raise argparse.ArgumentTypeError(
+            f"expects kind,peak,floor,warmup,total (got {value!r}): {exc}"
         )
 
 
 def cmd_plan(args: argparse.Namespace) -> int:
-    if (args.wd is None) == (args.tau is None):
-        raise SystemExit("give exactly one of --wd or --tau")
     from corpusops.recipe import build_plan, lr_at, scale_tau
 
     tau_target = args.tau
     if tau_target is not None and args.tpp_ref and args.tpp_target:
         tau_target = scale_tau(tau_target, args.tpp_ref, args.tpp_target)
 
-    schedule = _parse_schedule(args.schedule) if args.schedule else None
     plan = build_plan(
         batch_tokens=args.batch_tokens,
         lr=args.lr,
@@ -572,7 +567,7 @@ def cmd_plan(args: argparse.Namespace) -> int:
         weight_decay=args.wd,
         tau_target=tau_target,
         params=args.params,
-        schedule=schedule,
+        schedule=args.schedule,
     )
     with _open_out(args.output) as dst:
         record = {
@@ -587,11 +582,11 @@ def cmd_plan(args: argparse.Namespace) -> int:
             record["params"] = plan.params
             record["tokens_per_parameter"] = plan.tokens_per_parameter
         _emit(record, dst)
-        if schedule is not None:
+        if args.schedule is not None:
             points = 11
             for i in range(points):
-                step = round(i * schedule.total_steps / (points - 1))
-                _emit({"step": step, "lr": lr_at(step, schedule)}, dst)
+                step = round(i * args.schedule.total_steps / (points - 1))
+                _emit({"step": step, "lr": lr_at(step, args.schedule)}, dst)
     return 0
 
 
@@ -680,15 +675,16 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("pack", help="online best-fit sequence packing")
     p.add_argument("--capacity", type=int, required=True)
     p.add_argument("--max-open", type=int, default=64)
-    p.add_argument("--count-with", default="whitespace",
+    p.add_argument("--count-with", type=_length_counter, default="whitespace",
                    help="'whitespace' or 'field:<name>' for precomputed lengths")
     add_io(p)
     p.set_defaults(func=cmd_pack)
 
     p = sub.add_parser("monitor", help="loss-spike monitor")
     p.add_argument("--total-steps", type=int, required=True)
-    p.add_argument("--alert", required=True, help="w,Tmin,Tmax")
-    p.add_argument("--restart", required=True, help="w,Tmin,Tmax")
+    for tier in ("alert", "restart"):
+        p.add_argument(f"--{tier}", type=partial(_parse_tier, tier), required=True,
+                       help="w,Tmin,Tmax")
     p.add_argument("--interval", type=int, required=True, help="checkpoint interval")
     p.add_argument("--webhook", help="notification endpoint (or set CORPUSOPS_WEBHOOK)")
     add_io(p)
@@ -698,12 +694,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--batch-tokens", type=float, required=True)
     p.add_argument("--lr", type=float, required=True)
     p.add_argument("--tokens", type=float, required=True)
-    p.add_argument("--wd", type=float, default=None)
-    p.add_argument("--tau", type=float, default=None)
+    decay = p.add_mutually_exclusive_group(required=True)
+    decay.add_argument("--wd", type=float)
+    decay.add_argument("--tau", type=float)
     p.add_argument("--tpp-ref", type=float, default=None)
     p.add_argument("--tpp-target", type=float, default=None)
     p.add_argument("--params", type=float, default=None)
-    p.add_argument("--schedule", default=None, help="kind,peak,floor,warmup,total")
+    p.add_argument("--schedule", type=_parse_schedule, help="kind,peak,floor,warmup,total")
     _add_file(p, _SINK, "-o", "--output")
     p.set_defaults(func=cmd_plan)
 

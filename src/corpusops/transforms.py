@@ -22,6 +22,9 @@ from typing import Callable, Mapping, Sequence
 __all__ = [
     "DEFAULT_IMPORT_PATTERNS",
     "DepGraph",
+    "FIM_MIDDLE",
+    "FIM_PREFIX",
+    "FIM_SUFFIX",
     "FimConfig",
     "RepoFile",
     "append_qa",
@@ -37,18 +40,18 @@ __all__ = [
 # Fill-in-the-middle
 
 
+#: The special tokens that open the prefix, middle and suffix spans.
+FIM_PREFIX = "<|fim_prefix|>"
+FIM_MIDDLE = "<|fim_middle|>"
+FIM_SUFFIX = "<|fim_suffix|>"
+
+
 @dataclass(frozen=True)
 class FimConfig:
-    token_prefix: str = "<|fim_prefix|>"
-    token_middle: str = "<|fim_middle|>"
-    token_suffix: str = "<|fim_suffix|>"
     mode_psm_probability: float = 0.5
     rng_seed: int = 0
 
     def __post_init__(self) -> None:
-        tokens = (self.token_prefix, self.token_middle, self.token_suffix)
-        if len(set(tokens)) != 3:
-            raise ValueError("the three special tokens must be pairwise distinct")
         if not 0.0 <= self.mode_psm_probability <= 1.0:
             raise ValueError("mode_psm_probability must be in [0, 1]")
 
@@ -69,7 +72,7 @@ def fim_transform(
     """
     if not text:
         raise ValueError("cannot transform empty text")
-    for token in (config.token_prefix, config.token_middle, config.token_suffix):
+    for token in (FIM_PREFIX, FIM_MIDDLE, FIM_SUFFIX):
         if token in text:
             raise ValueError(f"text contains reserved token {token!r}")
     if rng is None:
@@ -78,9 +81,9 @@ def fim_transform(
     i, j = sorted((rng.randint(0, len(text)), rng.randint(0, len(text))))
     prefix, middle, suffix = text[:i], text[i:j], text[j:]
 
-    prefix_block = config.token_prefix + prefix
-    suffix_block = config.token_suffix + suffix
-    middle_block = config.token_middle + middle
+    prefix_block = FIM_PREFIX + prefix
+    suffix_block = FIM_SUFFIX + suffix
+    middle_block = FIM_MIDDLE + middle
     if rng.random() < config.mode_psm_probability:
         return prefix_block + suffix_block + middle_block
     return suffix_block + prefix_block + middle_block

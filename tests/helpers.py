@@ -425,9 +425,11 @@ def optimal_bins(lengths, capacity: int) -> int:
 # Fill-in-the-middle round-trip oracle
 
 
-def reconstruct_fim(transformed, config):
+def reconstruct_fim(transformed):
     """Detect the FIM layout from the leading token and reassemble."""
-    p, m, s = config.token_prefix, config.token_middle, config.token_suffix
+    from corpusops.transforms import FIM_MIDDLE, FIM_PREFIX, FIM_SUFFIX
+
+    p, m, s = FIM_PREFIX, FIM_MIDDLE, FIM_SUFFIX
     assert transformed.count(p) == transformed.count(m) == transformed.count(s) == 1
     if transformed.startswith(p):  # PSM: <p>P<s>S<m>M
         rest = transformed[len(p):]

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from corpusops import cli
 from corpusops.cli import main
 from corpusops.corpus import parse_record, read_rows
 from corpusops.dedup import (
@@ -40,6 +41,15 @@ def run_cli(args, stdin_text="", monkeypatch=None, capsys=None):
 
 def records(*objs):
     return "".join(json.dumps(o) + "\n" for o in objs)
+
+
+class UnreadStdin(io.StringIO):
+    """A stdin that fails a test if a command reads it."""
+
+    def __iter__(self):
+        raise AssertionError("stdin was read before the flags were checked")
+
+    read = readline = __iter__
 
 
 def parse_lines(out):
@@ -113,11 +123,9 @@ class TestDedupExactCli:
         assert code == 0
         warnings = [line for line in err.splitlines() if line.startswith("warning:")]
         assert len(warnings) == 1 and "--capacity 500" in warnings[0]
-        # "skipping ..." and "line N: ..." report dropped input records;
-        # an overflow drops none by itself.
-        assert "skipping" not in err and not any(
-            line.startswith("line ") for line in err.splitlines()
-        )
+        # "line N: ..." reports a dropped input record; an overflow drops none
+        # by itself.
+        assert not any(line.startswith("line ") for line in err.splitlines())
         stats = json.loads(err.splitlines()[-1])
         assert stats["seen"] == 6000
         assert stats["dropped"] == 6000 - len(parse_lines(out))
@@ -213,13 +221,7 @@ class TestDedupNearCli:
     def test_bad_threshold_exits_2_before_the_input_is_read(
         self, threshold, monkeypatch, capsys
     ):
-        class Unread(io.StringIO):
-            def __iter__(self):
-                raise AssertionError("stdin was read before the threshold was checked")
-
-            read = readline = __iter__
-
-        monkeypatch.setattr(sys, "stdin", Unread())
+        monkeypatch.setattr(sys, "stdin", UnreadStdin())
         code = main(["dedup-near", "--threshold", threshold])
         assert code == 2
         assert capsys.readouterr().err == (
@@ -450,7 +452,7 @@ class TestTransformCli:
         code, out, err = run_cli(["transform", "fim"], stdin, monkeypatch, capsys)
         assert code == 0
         assert [d["id"] for d in parse_lines(out)] == ["good"]
-        assert "bad" in err
+        assert err == "line 1: text contains reserved token '<|fim_middle|>'\n"
 
     def test_topo_orders_dependencies_first(self, monkeypatch, capsys):
         stdin = records(
@@ -743,14 +745,6 @@ class TestPlanCli:
         rows = parse_lines(out)
         assert rows[-1] == {"step": 1000, "lr": 1.5e-6}
 
-    def test_wd_and_tau_together_rejected(self, monkeypatch, capsys):
-        with pytest.raises(SystemExit):
-            run_cli(
-                ["plan", "--batch-tokens", "1", "--lr", "1", "--tokens", "10",
-                 "--wd", "0.1", "--tau", "0.1"],
-                "", monkeypatch, capsys,
-            )
-
 
 class TestEvalstatsCli:
     def test_passk(self, monkeypatch, capsys):
@@ -800,6 +794,100 @@ class TestEvalstatsCli:
         assert err.startswith("line 2: ") and len(err.splitlines()) == 1
 
 
+MONITOR_ARGS = ["monitor", "--total-steps", "2000", "--alert", "3,2.0,3.0",
+                "--restart", "5,2.5,4.0", "--interval", "500"]
+# A loss spike at steps 1050-1057 that fires both tiers.
+LOSSES = [{"step": 1030 + i, "loss": v} for i, v in enumerate([1.0] * 20 + [5.0] * 8 + [1.0] * 10)]
+
+
+class TestRecordRules:
+    """A record that breaks a rule a command enforces itself is skipped and
+    reported like a malformed line: exit 0, one ``line N: ...`` on stderr,
+    and the output of the same run without that line."""
+
+    DOCS = [{"id": "a", "text": "the first good document"},
+            {"id": "c", "text": "another good document here"}]
+    REPOS = [{"repo": "r", "files": [{"path": "a.py", "text": "A = 1\n"}]},
+             {"repo": "t", "files": [{"path": "b.py", "text": "import a\n"}]}]
+    QA = [{"id": "one", "text": "Body.", "qa": [{"q": "Q1?", "a": "A1."}]},
+          {"id": "two", "text": "Other.", "qa": [{"q": "Q2?", "a": "A2."}]}]
+
+    # rule -> (argv, good rows, where the bad row goes, bad row, its report)
+    CASES = {
+        "fim-reserved-token": (["transform", "fim", "--seed", "3"], DOCS, 1,
+                               {"id": "b", "text": "x<|fim_suffix|>y"},
+                               "text contains reserved token '<|fim_suffix|>'"),
+        "fim-empty-text": (["transform", "fim", "--seed", "3"], DOCS, 1,
+                           {"id": "b", "text": ""}, "cannot transform empty text"),
+        "pack-empty-text": (["pack", "--capacity", "8"], DOCS, 1,
+                            {"id": "b", "text": " \n "}, "length must be >= 1, got 0"),
+        "monitor-repeated-step": (MONITOR_ARGS, LOSSES, 25, {"step": 1054, "loss": 1.0},
+                                  "steps must be strictly increasing: 1054 after 1054"),
+        "monitor-step-back": (MONITOR_ARGS, LOSSES, 25, {"step": 1000, "loss": 1.0},
+                              "steps must be strictly increasing: 1000 after 1054"),
+        "topo-path-not-a-string": (["transform", "topo"], REPOS, 1,
+                                   {"repo": "s", "files": [{"path": 5, "text": "x"}]},
+                                   '"path" and "text" of a file must be strings'),
+        "dedup-near-repeated-id": (["dedup-near"], DOCS, 1,
+                                   {"id": "a", "text": "a different document, the same id"},
+                                   "duplicate id 'a', first on line 1"),
+        "qa-bad-pairs": (["transform", "qa"], QA, 1, {"id": "x", "text": "x", "qa": [{"q": "a"}]},
+                         'record needs "qa" of {"q", "a"} objects (KeyError(\'a\'))'),
+    }
+
+    @pytest.mark.parametrize("rule", sorted(CASES))
+    def test_breaking_record_is_skipped_and_reported(self, rule, monkeypatch, capsys):
+        argv, good, at, bad, report = self.CASES[rule]
+        expected = run_cli(argv, records(*good), monkeypatch, capsys)
+        assert expected[0] == 0 and expected[1]
+        stdin = records(*good[:at], bad, *good[at:])
+        code, out, err = run_cli(argv, stdin, monkeypatch, capsys)
+        assert (code, out) == expected[:2]
+        assert err == f"line {at + 1}: {report}\n" + expected[2]
+
+
+class TestBadFlags:
+    """A bad flag value exits 2 with argparse's error naming the flag, writes
+    nothing to stdout and reads no input."""
+
+    MONITOR = ["monitor", "--total-steps", "2000", "--interval", "500", "-i", "{input}"]
+    PLAN = ["plan", "--batch-tokens", "1", "--lr", "1", "--tokens", "10"]
+    CASES = {
+        "alert": ([*MONITOR, "--alert", "3,2", "--restart", "5,2.5,4.0"],
+                  "argument --alert: expects w,Tmin,Tmax (got '3,2'): "
+                  "not enough values to unpack (expected 3, got 2)"),
+        "restart": ([*MONITOR, "--alert", "3,2.0,3.0", "--restart", "3,6,5"],
+                    "argument --restart: expects w,Tmin,Tmax (got '3,6,5'): t_max must be >= t_min"),
+        "schedule": ([*PLAN, "--wd", "0.1", "--schedule", "bad"],
+                     "argument --schedule: expects kind,peak,floor,warmup,total (got 'bad'): "
+                     "not enough values to unpack (expected 5, got 1)"),
+        "count-with": (["pack", "--capacity", "8", "--count-with", "chars", "-i", "{input}"],
+                       "argument --count-with: expects 'whitespace' or 'field:<name>' "
+                       "(got 'chars')"),
+        "wd-and-tau": ([*PLAN, "--wd", "0.1", "--tau", "0.1"],
+                       "argument --tau: not allowed with argument --wd"),
+        "neither-wd-nor-tau": (PLAN, "one of the arguments --wd --tau is required"),
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_exits_2_naming_the_flag_before_any_input_is_read(self, case, tmp_path,
+                                                              monkeypatch, capsys):
+        argv, error = self.CASES[case]
+        source = tmp_path / "in.jsonl"
+        source.write_text(records({"text": "never read"}))
+
+        def unread(path):
+            raise AssertionError(f"input {path} opened before the flags were checked")
+
+        monkeypatch.setattr(cli, "_open_in", unread)
+        monkeypatch.setattr(sys, "stdin", UnreadStdin())
+        with pytest.raises(SystemExit) as exited:
+            main([a.format(input=source) for a in argv])
+        out, err = capsys.readouterr()
+        assert (exited.value.code, out) == (2, "")
+        assert err.splitlines()[-1] == f"corpusops {argv[0]}: error: {error}"
+
+
 class TestErrorPaths:
     def test_malformed_lines_skip_and_report(self, monkeypatch, capsys):
         stdin = 'not json\n{"id":"a","text":"fine"}\n'
@@ -835,8 +923,6 @@ class TestErrorPaths:
 
     DOC = {"id": "a", "text": "the first good document"}
     DOC2 = {"id": "c", "text": "another good document here"}
-    LOSSES = [{"step": 1030 + i, "loss": v}
-              for i, v in enumerate([1.0] * 20 + [5.0] * 8 + [1.0] * 10)]
 
     # command -> argv with "{path}" for the input file, good rows, a row with
     # a lone surrogate outside "text" and "id", and the report it gets.
@@ -1060,6 +1146,37 @@ class TestErrorPaths:
         proc = run_corpusops("mix", "--stats", "-", input=stats, text=True)
         assert proc.returncode == 0, proc.stderr
         assert parse_lines(proc.stdout)[0]["group"] == "g"
+
+    @pytest.mark.parametrize("mode", ["w", "a"])
+    def test_stderr_on_the_input_exits_2(self, mode, tmp_path):
+        # "2> f" has emptied the input before the command starts, and with
+        # "2>> f" the skip reports would be appended to the file being read.
+        path, out = tmp_path / "in.jsonl", tmp_path / "out.jsonl"
+        content = records({"id": "a", "text": "some text"}, {"id": "b", "text": "other text"})
+        path.write_text(content)
+        argv = (["dedup-near", "-i", str(path), "-o", str(out)] if mode == "w"
+                else ["dedup-exact", "--capacity", "10", "-i", str(path)])
+        with open(path, mode + "b") as stderr:
+            proc = run_corpusops(*argv, stderr=stderr, stdout=subprocess.PIPE,
+                                 capture_output=False, text=True)
+        assert (proc.returncode, proc.stdout) == (2, "")
+        error = "error: stderr is the input file; write to another file\n"
+        assert path.read_text() == ("" if mode == "w" else content) + error
+        assert not out.exists()
+
+    def test_stdout_and_stderr_on_one_log_are_allowed(self, tmp_path):
+        source, log = tmp_path / "in.jsonl", tmp_path / "log"
+        source.write_text(records({"id": "a", "text": "some text"}) + "not json\n")
+        with open(log, "wb") as stdout:  # > log 2>&1
+            proc = run_corpusops("dedup-exact", "--capacity", "10", "-i", str(source),
+                                 stdout=stdout, stderr=subprocess.STDOUT, capture_output=False)
+        assert proc.returncode == 0
+        # The kept record, the report and the stats line, sorted: the two
+        # streams are flushed in no fixed order.
+        report, kept, stats = sorted(log.read_text().splitlines())
+        assert report == "line 2: Expecting value: line 1 column 1 (char 0)"
+        assert kept == '{"id": "a", "text": "some text"}'
+        assert json.loads(stats)["seen"] == 1
 
     def test_domain_errors_exit_2(self, monkeypatch, capsys):
         code, _, err = run_cli(

@@ -7,6 +7,9 @@ from hypothesis import strategies as st
 from corpusops import transforms
 from corpusops.transforms import (
     DEFAULT_IMPORT_PATTERNS,
+    FIM_MIDDLE,
+    FIM_PREFIX,
+    FIM_SUFFIX,
     DepGraph,
     FimConfig,
     RepoFile,
@@ -18,14 +21,9 @@ from corpusops.transforms import (
     topo_order,
 )
 
-from helpers import reconstruct_fim as _reconstruct_fim
-from helpers import _reference_extension, reference_extract_imports
+from helpers import _reference_extension, reconstruct_fim, reference_extract_imports
 
 CFG = FimConfig()
-
-
-def reconstruct_fim(transformed, config=CFG):
-    return _reconstruct_fim(transformed, config)
 
 
 class TestFimTransform:
@@ -40,9 +38,9 @@ class TestFimTransform:
         # an empty middle shows up.
         for seed in range(50):
             out = fim_transform("x", CFG, random.Random(seed))
-            assert out.count(CFG.token_prefix) == 1
-            assert out.count(CFG.token_middle) == 1
-            assert out.count(CFG.token_suffix) == 1
+            assert out.count(FIM_PREFIX) == 1
+            assert out.count(FIM_MIDDLE) == 1
+            assert out.count(FIM_SUFFIX) == 1
             assert reconstruct_fim(out) == "x"
 
     def test_round_trip_on_random_inputs(self):
@@ -59,14 +57,14 @@ class TestFimTransform:
     @given(st.text(min_size=1, max_size=200), st.integers(0, 2**30))
     @settings(max_examples=200, deadline=None)
     def test_character_conservation(self, text, seed):
-        for token in (CFG.token_prefix, CFG.token_middle, CFG.token_suffix):
+        for token in (FIM_PREFIX, FIM_MIDDLE, FIM_SUFFIX):
             if token in text:
                 return
         out = fim_transform(text, CFG, random.Random(seed))
         stripped = (
-            out.replace(CFG.token_prefix, "")
-            .replace(CFG.token_middle, "")
-            .replace(CFG.token_suffix, "")
+            out.replace(FIM_PREFIX, "")
+            .replace(FIM_MIDDLE, "")
+            .replace(FIM_SUFFIX, "")
         )
         assert sorted(stripped) == sorted(text)
 
@@ -82,12 +80,8 @@ class TestFimTransform:
         layouts = set()
         for seed in range(40):
             out = fim_transform("hello world", CFG, random.Random(seed))
-            layouts.add("psm" if out.startswith(CFG.token_prefix) else "spm")
+            layouts.add("psm" if out.startswith(FIM_PREFIX) else "spm")
         assert layouts == {"psm", "spm"}
-
-    def test_duplicate_tokens_rejected(self):
-        with pytest.raises(ValueError):
-            FimConfig(token_prefix="<t>", token_middle="<t>", token_suffix="<s>")
 
 
 class TestExtractImports:
