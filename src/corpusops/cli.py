@@ -199,6 +199,28 @@ def _row_parser(
     return parse
 
 
+def _checked(convert: Callable[[str], Any], ok: Callable[[Any], bool], bound: str):
+    """An argparse ``type=``: ``convert`` the text, then refuse a value not ``ok``.
+
+    argparse names the flag in the error; the library's configs keep
+    their own checks for library callers.
+    """
+
+    def parse(text: str) -> Any:
+        value = convert(text)
+        if not ok(value):
+            raise argparse.ArgumentTypeError(f"must be {bound}, got {value}")
+        return value
+
+    parse.__name__ = convert.__name__  # argparse: "invalid int value: 'x'"
+    return parse
+
+
+_POSITIVE = _checked(int, lambda n: n >= 1, ">= 1")
+_OPEN_UNIT = _checked(float, lambda x: 0 < x < 1, "in (0, 1)")
+_UNIT = _checked(float, lambda x: 0 <= x <= 1, "in [0, 1]")
+
+
 # ---------------------------------------------------------------------------
 # dedup
 
@@ -261,7 +283,8 @@ def cmd_dedup_near(args: argparse.Namespace) -> int:
 
     stats = NearDupStats()
     with _open_in(args.input) as src, _rereadable(src) as (line_count, reread):
-        # Pass 1 keeps each record's signature row and ranking fields, no text.
+        # Pass 1 keeps each record's band keys, confirm sketch and ranking
+        # fields, no text.
         records = read_rows(reread(), parse, on_error=_report_bad_line)
         clusters = near_clusters(records, config, stats, size=line_count)
         drop, promote = cluster_outcome(clusters)
@@ -460,7 +483,6 @@ def cmd_pack(args: argparse.Namespace) -> int:
         return PackInput(id=doc.id, length=args.count_with(doc))
 
     with _open_in(args.input) as src:
-        # pack_online checks --capacity and --max-open before -o is opened.
         rows = read_rows(src, parse, on_error=_report_bad_line)
         sequences, stats = pack_online(rows, args.capacity, args.max_open)
         with _open_out(args.output) as dst:
@@ -634,8 +656,8 @@ def build_parser() -> argparse.ArgumentParser:
         _add_file(p, _SINK, "-o", "--output", help="output path (default stdout)")
 
     p = sub.add_parser("dedup-exact", help="Bloom-filter exact dedup")
-    p.add_argument("--capacity", type=int, required=True)
-    p.add_argument("--fpr", type=float, default=0.001)
+    p.add_argument("--capacity", type=_POSITIVE, required=True)
+    p.add_argument("--fpr", type=_OPEN_UNIT, default=0.001)
     add_io(p)
     p.set_defaults(func=cmd_dedup_exact)
 
@@ -645,7 +667,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--bands", type=int, default=16)
     p.add_argument("--rows", type=int, default=8)
-    p.add_argument("--threshold", type=float, default=0.8)
+    p.add_argument("--threshold", type=_OPEN_UNIT, default=0.8)
     p.add_argument("--seed", type=int, default=0)
     add_io(p)
     _add_file(p, _REPORT, "--clusters", help="cluster report path (default: stderr)")
@@ -662,7 +684,7 @@ def build_parser() -> argparse.ArgumentParser:
     mode = p.add_subparsers(dest="mode", required=True)
     fim = mode.add_parser("fim", help="fill-in-the-middle rearrangement")
     fim.add_argument("--seed", type=int, default=0)
-    fim.add_argument("--psm-probability", type=float, default=0.5)
+    fim.add_argument("--psm-probability", type=_UNIT, default=0.5)
     add_io(fim)
     fim.set_defaults(func=cmd_transform_fim)
     topo = mode.add_parser("topo", help="repository topological concatenation")
@@ -673,19 +695,19 @@ def build_parser() -> argparse.ArgumentParser:
     qa.set_defaults(func=cmd_transform_qa)
 
     p = sub.add_parser("pack", help="online best-fit sequence packing")
-    p.add_argument("--capacity", type=int, required=True)
-    p.add_argument("--max-open", type=int, default=64)
+    p.add_argument("--capacity", type=_POSITIVE, required=True)
+    p.add_argument("--max-open", type=_POSITIVE, default=64)
     p.add_argument("--count-with", type=_length_counter, default="whitespace",
                    help="'whitespace' or 'field:<name>' for precomputed lengths")
     add_io(p)
     p.set_defaults(func=cmd_pack)
 
     p = sub.add_parser("monitor", help="loss-spike monitor")
-    p.add_argument("--total-steps", type=int, required=True)
+    p.add_argument("--total-steps", type=_POSITIVE, required=True)
     for tier in ("alert", "restart"):
         p.add_argument(f"--{tier}", type=partial(_parse_tier, tier), required=True,
                        help="w,Tmin,Tmax")
-    p.add_argument("--interval", type=int, required=True, help="checkpoint interval")
+    p.add_argument("--interval", type=_POSITIVE, required=True, help="checkpoint interval")
     p.add_argument("--webhook", help="notification endpoint (or set CORPUSOPS_WEBHOOK)")
     add_io(p)
     p.set_defaults(func=cmd_monitor)

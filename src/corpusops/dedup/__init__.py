@@ -7,9 +7,9 @@ Two stages, typically run in this order:
 2. :func:`near_dedup` fingerprints documents with word-13-gram
    one-permutation MinHash signatures, many documents per numpy call
    (:func:`signature_matrix`), finds candidate pairs via LSH banding,
-   confirms them by signature similarity, clusters with union-find, and
-   keeps one representative per cluster (curated beats CommonCrawl, newer
-   beats older).
+   confirms them on the low 16 bits of each signature bin, clusters with
+   union-find, and keeps one representative per cluster (curated beats
+   CommonCrawl, newer beats older).
 
 Both stages read text through :func:`normalize`, the one place that
 decides where words end; the MinHash layer takes its output as is and

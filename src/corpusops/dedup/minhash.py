@@ -7,7 +7,9 @@ with optimal densification of empty bins (Shrivastava, ICML 2017).  The
 fraction of equal signature components estimates the Jaccard similarity
 of the shingle sets (:func:`estimate_jaccard`).  :func:`band_keys` hashes
 each band of a signature so that similar documents collide in at least
-one bucket.
+one bucket, and :func:`confirm_sketch` keeps the low 16 bits of each
+bin (:data:`SKETCH_DTYPE`), enough to tell equal bins from unequal ones
+(b-bit minwise hashing, Li & König, WWW 2010).
 
 Input contract: texts are non-empty ``normalize`` output and shingles
 non-empty runs of their words, so ``normalize`` alone decides where words
@@ -63,14 +65,22 @@ import numpy as np
 from corpusops.dedup.text import DEFAULT_SHINGLE_SIZE
 
 __all__ = [
+    "SKETCH_DTYPE",
     "Signature",
     "band_keys",
+    "confirm_sketch",
     "estimate_jaccard",
     "signature",
     "signature_matrix",
 ]
 
 DEFAULT_NUM_PERMUTATIONS = 128
+
+#: The low bits of each bin that confirmation compares, 16 of them.  Two
+#: unequal bins agree there by chance with probability 2**-16, so across
+#: 128 bins a pair gains a spurious equal bin with probability at most
+#: about 0.2%.
+SKETCH_DTYPE = np.dtype(np.uint16)
 
 _MASK64 = (1 << 64) - 1
 _POLY_BASE = 0xFF51AFD7ED558CCD  # odd, so every position counts and B**-1 exists
@@ -340,3 +350,13 @@ def band_keys(matrix: np.ndarray, rows: int) -> np.ndarray:
     for component in range(rows):
         acc = acc * np.uint64(_POLY_BASE) + bands[:, :, component]
     return _splitmix64(acc)
+
+
+def confirm_sketch(matrix: np.ndarray) -> np.ndarray:
+    """The low bits of every bin of signature rows, as :data:`SKETCH_DTYPE`.
+
+    Confirmation counts the equal bins of two rows; on these the count is
+    the full-width one, plus the rare unequal bins whose low bits agree.
+    No correction for those chance agreements is applied.
+    """
+    return matrix.astype(SKETCH_DTYPE)

@@ -1,16 +1,19 @@
 """End-to-end near-deduplication over a document collection.
 
-Fingerprints documents in batches of about :data:`BATCH_WORDS` words into
-the rows of one signature matrix, hashes every (row, band) into a bucket
-key, sorts each band's key column into buckets, confirms co-bucketed rows
-on the matrix and unions them, then keeps one representative per cluster.
-No per-document signature object is built on the way.  The representative's
-``dup_count`` is set to its cluster size so that downstream mix weighting
-can bucket it.
+Fingerprints documents in batches of about :data:`BATCH_WORDS` words.
+Each batch's signature rows are hashed into one bucket key per band and
+cut to their low 16 bits (:func:`~corpusops.dedup.minhash.confirm_sketch`);
+only those two arrays are kept, 384 bytes per document at 16 bands of 8
+rows.  Sorting each band's key column forms the buckets; co-bucketed rows
+are confirmed on the sketch and unioned, then one representative per
+cluster is kept.  No per-document signature object, and no full-width
+signature matrix, is built on the way.  The representative's
+``dup_count`` is set to its cluster size so that downstream mix
+weighting can bucket it.
 
 :func:`near_clusters` is that path from documents to clusters, and
 :func:`near_dedup` and the ``dedup-near`` command both run it.  It
-streams: of each document it keeps only its signature row and the
+streams: of each document it keeps only its keys, its sketch row and the
 ``id``, ``curated`` and ``timestamp`` that pick a representative, so a
 caller that reads its documents from a file once to cluster them and
 once more to write the kept ones holds no text beyond the current batch.
@@ -31,8 +34,10 @@ import numpy as np
 from corpusops.corpus import Document
 from corpusops.dedup.minhash import (
     DEFAULT_NUM_PERMUTATIONS,
+    SKETCH_DTYPE,
     Signature,
     band_keys,
+    confirm_sketch,
     signature_matrix,
 )
 from corpusops.dedup.text import DEFAULT_SHINGLE_SIZE, normalize
@@ -57,10 +62,11 @@ __all__ = [
 #: Words fingerprinted per signature-matrix call.  Large enough to amortize
 #: numpy's per-call cost, small enough that the batch's byte, word and
 #: shingle arrays stay under a MB beside the documents themselves.  On the
-#: benchmark's ``web-dedup`` input (1,159 documents, 2.6 MB of normalized
-#: text), ``dedup-near`` peaked at 35.2, 35.3, 35.2, 35.9 and 37.4 MB of RSS
-#: with 1<<10 ... 1<<14 words per batch (2-core x86 host); 1<<10 ran about
-#: 10% slower, the others at the same speed.
+#: benchmark's ``web-dedup`` corpus at seed 1 (1,200 documents, 2.9 MB),
+#: ``dedup-near`` peaked at 31.4-31.7, 31.4-31.6, 31.3-31.6, 32.1-32.2 and
+#: 33.8-33.9 MB of RSS with 1<<10 ... 1<<14 words per batch (three runs
+#: each, 2-core x86 host); 1<<10 took 0.52-0.53 s a run, the others
+#: 0.31-0.46 s.
 BATCH_WORDS = 1 << 12
 
 
@@ -129,7 +135,7 @@ def candidate_pairs_from_buckets(
 
 def _link_buckets(
     forest: UnionFind,
-    matrix: np.ndarray,
+    sketch: np.ndarray,
     keys: np.ndarray,
     confirm_threshold: float,
     stats: NearDupStats,
@@ -155,7 +161,7 @@ def _link_buckets(
         rest[starts] = False
         pivots = np.repeat(rows[starts], sizes)[rest]
         rows, sizes = rows[rest], sizes - 1
-        stats.confirmations += link(forest, matrix, pivots, rows, confirm_threshold)
+        stats.confirmations += link(forest, sketch, pivots, rows, confirm_threshold)
         shared = sizes >= 2
         rows, sizes = rows[np.repeat(shared, sizes)], sizes[shared]
 
@@ -181,26 +187,29 @@ def _batches(documents: Iterable[Document]) -> Iterator[tuple[list[str], list[st
 
 def fingerprint(
     documents: Iterable[Document], config: NearDupConfig, size: int | None = None
-) -> tuple[list[str], np.ndarray]:
-    """Ids and signature rows of the documents with words after normalization.
+) -> tuple[list[str], np.ndarray, np.ndarray]:
+    """(ids, band keys, confirm sketch) of the documents with words after normalization.
 
-    Documents are sketched in batches of about :data:`BATCH_WORDS` words
-    into one ``len(ids) x num_perm`` matrix; batch boundaries do not
-    change any value.  The matrix is allocated once with ``size`` rows
-    (default ``len(documents)``), at least the number of documents, and
-    filled in place; only the current batch's texts are held.
+    Documents are sketched in batches of about :data:`BATCH_WORDS` words;
+    each batch's signature rows give ``band_keys`` (``len(ids) x bands``
+    uint64) and ``confirm_sketch`` (``len(ids) x num_perm`` uint16) and are
+    then dropped, so batch boundaries change no value and the full-width
+    signature matrix is never held.  Both arrays are allocated once with
+    ``size`` rows (default ``len(documents)``), at least the number of
+    documents, and filled in place; only the current batch's texts are held.
     """
     size = len(documents) if size is None else size
-    matrix = np.empty((size, config.num_perm), dtype=np.uint64)
+    keys = np.empty((size, config.bands), dtype=np.uint64)
+    sketch = np.empty((size, config.num_perm), dtype=SKETCH_DTYPE)
     ids: list[str] = []
     for batch_ids, texts in _batches(documents):
         if len(ids) + len(texts) > size:
             raise ValueError(f"more than the {size} documents announced")
-        matrix[len(ids) : len(ids) + len(texts)] = signature_matrix(
-            texts, config.perm_seed, config.num_perm, config.shingle_size
-        )
+        block = signature_matrix(texts, config.perm_seed, config.num_perm, config.shingle_size)
+        keys[len(ids) : len(ids) + len(texts)] = band_keys(block, config.rows)
+        sketch[len(ids) : len(ids) + len(texts)] = confirm_sketch(block)
         ids += batch_ids
-    return ids, matrix[: len(ids)]
+    return ids, keys[: len(ids)], sketch[: len(ids)]
 
 
 def near_clusters(
@@ -213,7 +222,7 @@ def near_clusters(
 
     Document ids must be unique.  ``documents`` is read once, as a stream;
     ``size`` is at least the number of documents (default
-    ``len(documents)``) and sizes the signature matrix.  Clusters come
+    ``len(documents)``) and sizes the key and sketch arrays.  Clusters come
     sorted by smallest member id; ``stats``, when given, receives the
     bucket and confirmation counters.
     """
@@ -226,10 +235,10 @@ def near_clusters(
             yield doc
 
     size = len(documents) if size is None else size
-    ids, matrix = fingerprint(ranked(documents), config, size)
+    ids, keys, sketch = fingerprint(ranked(documents), config, size)
     forest = UnionFind(len(ids))
-    for keys in band_keys(matrix, config.rows).T:
-        _link_buckets(forest, matrix, keys, config.confirm_threshold, stats)
+    for column in keys.T:
+        _link_buckets(forest, sketch, column, config.confirm_threshold, stats)
     return [
         replace(record, representative=choose_representative(record, rankings))
         for record in cluster_records(forest, ids)

@@ -1,11 +1,12 @@
 """Union-find clustering of confirmed near-duplicate pairs.
 
-Documents are the rows of one signature matrix.  Candidate pairs (from
-LSH buckets) are confirmed by signature-estimated Jaccard before being
-unioned, so banding false positives cannot poison a cluster
-(:func:`link`).  Connected components with two or more members become
-:class:`ClusterRecord`; the output is invariant under any permutation of
-the input pairs.
+Documents are the rows of one confirm sketch, the low 16 bits of every
+signature bin (:func:`~corpusops.dedup.minhash.confirm_sketch`).
+Candidate pairs (from LSH buckets) are confirmed by the fraction of equal
+sketch bins, a Jaccard estimate, before being unioned, so banding false
+positives cannot poison a cluster (:func:`link`).  Connected components
+with two or more members become :class:`ClusterRecord`; the output is
+invariant under any permutation of the input pairs.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from typing import Iterable, Mapping, NamedTuple, Sequence
 import numpy as np
 
 from corpusops.corpus import Document
-from corpusops.dedup.minhash import Signature
+from corpusops.dedup.minhash import Signature, confirm_sketch
 
 __all__ = [
     "ClusterRecord",
@@ -28,7 +29,7 @@ __all__ = [
 ]
 
 #: Candidate pairs confirmed per numpy call: the two gathered blocks of
-#: signature rows take 4 MB each at 128 bins.
+#: sketch rows take 1 MB each at 128 bins.
 CONFIRM_CHUNK = 1 << 12
 
 
@@ -72,18 +73,19 @@ class UnionFind:
 
 def link(
     forest: UnionFind,
-    matrix: np.ndarray,
+    sketch: np.ndarray,
     a: np.ndarray,
     b: np.ndarray,
     confirm_threshold: float,
 ) -> int:
-    """Union the row pairs (a[i], b[i]) whose signatures agree on enough bins.
+    """Union the row pairs (a[i], b[i]) whose sketch rows agree on enough bins.
 
-    A pair is confirmed when the fraction of equal components, as
-    :func:`~corpusops.dedup.minhash.estimate_jaccard` computes it, reaches
-    ``confirm_threshold``.  A pair whose rows already share a set is
-    skipped, which leaves every set as it would be.  Returns the number
-    of pairs compared.
+    ``sketch`` holds :func:`~corpusops.dedup.minhash.confirm_sketch` rows.
+    A pair is confirmed when the fraction of equal bins reaches
+    ``confirm_threshold``.  Bins are compared on their low 16 bits only,
+    so two bins that differ above them count as equal.  A pair whose rows
+    already share a set is skipped, which leaves every set as it would
+    be.  Returns the number of pairs compared.
     """
     compared = 0
     for start in range(0, a.size, CONFIRM_CHUNK):
@@ -91,7 +93,7 @@ def link(
         chunk_a, chunk_b = a[start : start + CONFIRM_CHUNK], b[start : start + CONFIRM_CHUNK]
         apart = roots[chunk_a] != roots[chunk_b]
         chunk_a, chunk_b = chunk_a[apart], chunk_b[apart]
-        similar = (matrix[chunk_a] == matrix[chunk_b]).mean(axis=1) >= confirm_threshold
+        similar = (sketch[chunk_a] == sketch[chunk_b]).mean(axis=1) >= confirm_threshold
         forest.union(chunk_a[similar], chunk_b[similar])
         compared += chunk_a.size
     return compared
@@ -154,8 +156,10 @@ def cluster(
     Pairs referencing ids without a signature are ignored, as are
     self-pairs.  Components of size >= 2 are returned sorted by smallest
     member id; each record's representative is its smallest member id
-    until re-selected.  The signatures are stacked into one matrix and
-    confirmed by :func:`link`, as :func:`~corpusops.dedup.near_dedup` does.
+    until re-selected.  The signatures are cut to one confirm sketch
+    (:func:`~corpusops.dedup.minhash.confirm_sketch`) and confirmed by
+    :func:`link`, as :func:`~corpusops.dedup.near_dedup` does, so both
+    join the same pairs.
     """
     check_threshold(confirm_threshold)
     ids = list(signatures)
@@ -170,9 +174,9 @@ def cluster(
             b.append(row[y])
     if not a:
         return []
-    matrix = np.stack([signatures[doc_id].values for doc_id in ids])
+    sketch = confirm_sketch(np.stack([signatures[doc_id].values for doc_id in ids]))
     forest = UnionFind(len(ids))
-    link(forest, matrix, np.array(a), np.array(b), confirm_threshold)
+    link(forest, sketch, np.array(a), np.array(b), confirm_threshold)
     return cluster_records(forest, ids)
 
 

@@ -222,10 +222,13 @@ class TestDedupNearCli:
         self, threshold, monkeypatch, capsys
     ):
         monkeypatch.setattr(sys, "stdin", UnreadStdin())
-        code = main(["dedup-near", "--threshold", threshold])
-        assert code == 2
-        assert capsys.readouterr().err == (
-            f"error: confirm_threshold must be in (0, 1), got {float(threshold)}\n"
+        with pytest.raises(SystemExit) as exited:
+            main(["dedup-near", "--threshold", threshold])
+        out, err = capsys.readouterr()
+        assert (exited.value.code, out) == (2, "")
+        assert err.splitlines()[-1] == (
+            "corpusops dedup-near: error: argument --threshold: "
+            f"must be in (0, 1), got {float(threshold)}"
         )
 
     def test_seed_past_64_bits_is_accepted(self, monkeypatch, capsys):
@@ -377,6 +380,33 @@ class TestDedupNearTwoPasses:
         slack = 256 * 1024
         assert long_path.stat().st_size - short_path.stat().st_size > 4 * (one_batch + slack)
         assert peak(long_path) - peak(short_path) <= one_batch + slack
+
+    def test_memory_per_added_document(self, tmp_path, monkeypatch):
+        # Per document, pass 1 keeps 16 band keys and a 128-bin 16-bit
+        # sketch (384 B) plus its id and ranking fields, about 600 B in
+        # all; a full-width uint64 signature row alone would take 1,024 B.
+        monkeypatch.setattr(sys, "stderr", io.StringIO())
+        rng = random.Random(7)
+        vocabulary = random_words(rng, 3000)
+
+        def peak(n: int) -> int:
+            path = tmp_path / f"{n}.jsonl"
+            path.write_text(records(
+                *({"id": f"d{i:06d}", "text": " ".join(rng.choices(vocabulary, k=20))}
+                  for i in range(n))
+            ))
+            argv = ["dedup-near", "-i", str(path), "-o", str(tmp_path / "out.jsonl"),
+                    "--clusters", str(tmp_path / "clusters.jsonl")]
+            tracemalloc.start()
+            try:
+                assert main(argv) == 0
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        peak(10)  # imports numpy and the pipeline outside the measured runs
+        small, large = 1000, 5000
+        assert (peak(large) - peak(small)) / (large - small) <= 800
 
 
 class TestMixCli:
@@ -867,6 +897,26 @@ class TestBadFlags:
         "wd-and-tau": ([*PLAN, "--wd", "0.1", "--tau", "0.1"],
                        "argument --tau: not allowed with argument --wd"),
         "neither-wd-nor-tau": (PLAN, "one of the arguments --wd --tau is required"),
+        "threshold": (["dedup-near", "--threshold", "2", "-i", "{input}"],
+                      "argument --threshold: must be in (0, 1), got 2.0"),
+        "psm-probability": (["transform", "fim", "--psm-probability", "2", "-i", "{input}"],
+                            "argument --psm-probability: must be in [0, 1], got 2.0"),
+        "total-steps": (["monitor", "--total-steps", "0", "--interval", "500",
+                         "--alert", "3,2.0,3.0", "--restart", "5,2.5,4.0", "-i", "{input}"],
+                        "argument --total-steps: must be >= 1, got 0"),
+        "interval": (["monitor", "--total-steps", "2000", "--interval", "0",
+                      "--alert", "3,2.0,3.0", "--restart", "5,2.5,4.0", "-i", "{input}"],
+                     "argument --interval: must be >= 1, got 0"),
+        "exact-capacity": (["dedup-exact", "--capacity", "0", "-i", "{input}"],
+                           "argument --capacity: must be >= 1, got 0"),
+        "fpr": (["dedup-exact", "--capacity", "10", "--fpr", "1.5", "-i", "{input}"],
+                "argument --fpr: must be in (0, 1), got 1.5"),
+        "pack-capacity": (["pack", "--capacity", "0", "-i", "{input}"],
+                          "argument --capacity: must be >= 1, got 0"),
+        "max-open": (["pack", "--capacity", "8", "--max-open", "0", "-i", "{input}"],
+                     "argument --max-open: must be >= 1, got 0"),
+        "not-a-number": (["dedup-exact", "--capacity", "1e3", "-i", "{input}"],
+                         "argument --capacity: invalid int value: '1e3'"),
     }
 
     @pytest.mark.parametrize("case", sorted(CASES))
@@ -885,7 +935,8 @@ class TestBadFlags:
             main([a.format(input=source) for a in argv])
         out, err = capsys.readouterr()
         assert (exited.value.code, out) == (2, "")
-        assert err.splitlines()[-1] == f"corpusops {argv[0]}: error: {error}"
+        command = " ".join(a for a in argv[:2] if not a.startswith("-"))
+        assert err.splitlines()[-1] == f"corpusops {command}: error: {error}"
 
 
 class TestErrorPaths:

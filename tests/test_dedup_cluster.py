@@ -10,6 +10,7 @@ from corpusops.dedup import (
     ClusterRecord,
     NearDupConfig,
     NearDupStats,
+    Signature,
     UnionFind,
     choose_representative,
     cluster,
@@ -19,7 +20,7 @@ from corpusops.dedup import (
     signature,
 )
 from corpusops.dedup import pipeline, unionfind
-from corpusops.dedup.minhash import band_keys
+from corpusops.dedup.minhash import band_keys, confirm_sketch
 from corpusops.dedup.pipeline import candidate_pairs_from_buckets
 from helpers import (
     exact_jaccard,
@@ -253,6 +254,27 @@ class TestNearDedupPipeline:
         compared = unionfind.link(forest, matrix, np.array([0, 1, 2]), np.array([1, 0, 3]), 0.8)
         assert compared == 1
         assert forest.roots().tolist() == [0, 0, 2, 2]
+
+    def test_bins_equal_in_their_low_16_bits_confirm(self, monkeypatch):
+        # The rows share band 0 and differ above bit 15 in 40 other bins:
+        # 88 of 128 bins agree at full width, all 128 in the confirm sketch.
+        rng = np.random.default_rng(5)
+        a = rng.integers(0, np.iinfo(np.uint64).max, 128, dtype=np.uint64, endpoint=True)
+        b = a.copy()
+        b[8:48] ^= np.uint64(1 << 40)
+        assert (a == b).mean() < 0.8
+        forest = UnionFind(2)
+        assert unionfind.link(forest, confirm_sketch(np.stack([a, b])),
+                              np.array([0]), np.array([1]), 0.8) == 1
+        assert forest.roots().tolist() == [0, 0]
+        staged = cluster([("x", "y")], {"x": Signature(a, 0), "y": Signature(b, 0)}, 0.8)
+        assert [r.members for r in staged] == [("x", "y")]
+        # near_clusters on two documents whose signature rows are a and b.
+        rows = {"x": a, "y": b}
+        monkeypatch.setattr(pipeline, "signature_matrix",
+                            lambda texts, *config: np.stack([rows[t] for t in texts]))
+        docs = [Document(id="x", text="x"), Document(id="y", text="y")]
+        assert pipeline.near_clusters(docs) == staged
 
     @pytest.mark.parametrize("n", [2, 50, 2000])
     def test_identical_documents_take_one_confirmation_each(self, n):

@@ -359,23 +359,24 @@ class TestSignatureMatrix:
         assert outputs == [here, here]
 
     def test_batch_boundaries_do_not_change_signatures(self, monkeypatch):
+        # fingerprint keeps the band keys and the low 16 bits of the
+        # signature rows; whatever the batch size, both match the rows.
         rng = random.Random(99)
         docs = [
             Document(id=f"d{i}", text=" ".join(random_words(rng, rng.randint(0, 60))))
             for i in range(80)
         ]
         config = NearDupConfig(perm_seed=4)
-        default_budget = pipeline.BATCH_WORDS
-        monkeypatch.setattr(pipeline, "BATCH_WORDS", 10**9)
-        ids, reference = pipeline.fingerprint(docs, config)
-        assert ids == [d.id for d in docs if d.text]
-        assert reference.shape == (len(ids), 128)
+        ids = [d.id for d in docs if d.text]
+        rows = signature_matrix([normalize(d.text) for d in docs if d.text], config.perm_seed)
         by_id = {d.id: d for d in docs}
-        for doc_id, row in zip(ids[:10], reference):
+        for doc_id, row in zip(ids[:10], rows):
             single = signature(shingles(normalize(by_id[doc_id].text)), config.perm_seed)
             assert np.array_equal(single.values, row)
-        for batch_words in (1, 50, 333, default_budget):
+        for batch_words in (1, 50, 333, pipeline.BATCH_WORDS, 10**9):
             monkeypatch.setattr(pipeline, "BATCH_WORDS", batch_words)
-            batched_ids, batched = pipeline.fingerprint(docs, config)
+            batched_ids, keys, sketch = pipeline.fingerprint(docs, config)
             assert batched_ids == ids
-            assert np.array_equal(batched, reference)
+            assert np.array_equal(keys, band_keys(rows, config.rows))
+            assert sketch.dtype == np.uint16
+            assert np.array_equal(sketch, rows & np.uint64(0xFFFF))
