@@ -217,6 +217,8 @@ def _checked(convert: Callable[[str], Any], ok: Callable[[Any], bool], bound: st
 
 
 _POSITIVE = _checked(int, lambda n: n >= 1, ">= 1")
+_NATURAL = _checked(int, lambda n: n >= 0, ">= 0")
+_ABOVE_ZERO = _checked(float, lambda x: x > 0, "> 0")
 _OPEN_UNIT = _checked(float, lambda x: 0 < x < 1, "in (0, 1)")
 _UNIT = _checked(float, lambda x: 0 <= x <= 1, "in [0, 1]")
 
@@ -267,6 +269,9 @@ def cmd_dedup_near(args: argparse.Namespace) -> int:
         near_clusters,
     )
 
+    if args.bands * args.rows != args.perms:
+        args.error(f"argument --perms: must equal --bands * --rows = {args.bands * args.rows}, "
+                   f"got {args.perms}")
     config = NearDupConfig(num_perm=args.perms, bands=args.bands, rows=args.rows,
                            confirm_threshold=args.threshold, perm_seed=args.seed)
     # Ids must be unique: keep the first record of an id, and skip and
@@ -579,7 +584,10 @@ def cmd_plan(args: argparse.Namespace) -> int:
     from corpusops.recipe import build_plan, lr_at, scale_tau
 
     tau_target = args.tau
-    if tau_target is not None and args.tpp_ref and args.tpp_target:
+    if args.tpp_ref is not None or args.tpp_target is not None:
+        if None in (tau_target, args.tpp_ref, args.tpp_target):
+            flag = "--tpp-ref" if args.tpp_ref is not None else "--tpp-target"
+            args.error(f"argument {flag}: scales --tau, so needs --tau, --tpp-ref and --tpp-target")
         tau_target = scale_tau(tau_target, args.tpp_ref, args.tpp_target)
 
     plan = build_plan(
@@ -663,15 +671,15 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("dedup-near", help="MinHash/LSH near dedup")
     p.add_argument(
-        "--perms", type=int, default=128, help="signature length (MinHash bins)"
+        "--perms", type=_POSITIVE, default=128, help="signature length (MinHash bins)"
     )
-    p.add_argument("--bands", type=int, default=16)
-    p.add_argument("--rows", type=int, default=8)
+    p.add_argument("--bands", type=_POSITIVE, default=16)
+    p.add_argument("--rows", type=_POSITIVE, default=8)
     p.add_argument("--threshold", type=_OPEN_UNIT, default=0.8)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_NATURAL, default=0)
     add_io(p)
     _add_file(p, _REPORT, "--clusters", help="cluster report path (default: stderr)")
-    p.set_defaults(func=cmd_dedup_near)
+    p.set_defaults(func=cmd_dedup_near, error=p.error)
 
     p = sub.add_parser("mix", help="mix manifest from group stats")
     _add_file(p, _SOURCE, "--stats", required=True, help="group stats records path")
@@ -719,12 +727,12 @@ def build_parser() -> argparse.ArgumentParser:
     decay = p.add_mutually_exclusive_group(required=True)
     decay.add_argument("--wd", type=float)
     decay.add_argument("--tau", type=float)
-    p.add_argument("--tpp-ref", type=float, default=None)
-    p.add_argument("--tpp-target", type=float, default=None)
-    p.add_argument("--params", type=float, default=None)
+    p.add_argument("--tpp-ref", type=_ABOVE_ZERO, default=None)
+    p.add_argument("--tpp-target", type=_ABOVE_ZERO, default=None)
+    p.add_argument("--params", type=_ABOVE_ZERO, default=None)
     p.add_argument("--schedule", type=_parse_schedule, help="kind,peak,floor,warmup,total")
     _add_file(p, _SINK, "-o", "--output")
-    p.set_defaults(func=cmd_plan)
+    p.set_defaults(func=cmd_plan, error=p.error)
 
     p = sub.add_parser("evalstats", help="evaluation statistics")
     metric = p.add_subparsers(dest="metric", required=True)

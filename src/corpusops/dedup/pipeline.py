@@ -13,10 +13,11 @@ weighting can bucket it.
 
 :func:`near_clusters` is that path from documents to clusters, and
 :func:`near_dedup` and the ``dedup-near`` command both run it.  It
-streams: of each document it keeps only its keys, its sketch row and the
-``id``, ``curated`` and ``timestamp`` that pick a representative, so a
-caller that reads its documents from a file once to cluster them and
-once more to write the kept ones holds no text beyond the current batch.
+streams: of each document it keeps one row of :func:`fingerprint`'s
+result, its keys, its sketch and the ``id``, ``curated`` and
+``timestamp`` that pick a representative, so a caller that reads its
+documents from a file once to cluster them and once more to write the
+kept ones holds no text beyond the current batch.
 
 Running the pipeline on its own output at the same threshold yields zero
 new clusters: survivors of a pass were pairwise rejected (or never
@@ -46,7 +47,6 @@ from corpusops.dedup.unionfind import (
     Ranking,
     UnionFind,
     check_threshold,
-    choose_representative,
     cluster_records,
     link,
 )
@@ -166,34 +166,35 @@ def _link_buckets(
         rows, sizes = rows[np.repeat(shared, sizes)], sizes[shared]
 
 
-def _batches(documents: Iterable[Document]) -> Iterator[tuple[list[str], list[str]]]:
-    """(ids, normalized texts) of non-empty documents, ~BATCH_WORDS words each."""
-    ids: list[str] = []
+def _batches(documents: Iterable[Document]) -> Iterator[tuple[list[Ranking], list[str]]]:
+    """(rankings, normalized texts) of non-empty documents, ~BATCH_WORDS words each."""
+    ranks: list[Ranking] = []
     texts: list[str] = []
     words = 0
     for doc in documents:
         text = normalize(doc.text)
         if not text:
             continue
-        ids.append(doc.id)
+        ranks.append(Ranking(doc.id, doc.curated, doc.timestamp))
         texts.append(text)
         words += text.count(" ") + 1  # normalized text: single spaces
         if words >= BATCH_WORDS:
-            yield ids, texts
-            ids, texts, words = [], [], 0
-    if ids:
-        yield ids, texts
+            yield ranks, texts
+            ranks, texts, words = [], [], 0
+    if ranks:
+        yield ranks, texts
 
 
 def fingerprint(
     documents: Iterable[Document], config: NearDupConfig, size: int | None = None
-) -> tuple[list[str], np.ndarray, np.ndarray]:
-    """(ids, band keys, confirm sketch) of the documents with words after normalization.
+) -> tuple[list[Ranking], np.ndarray, np.ndarray]:
+    """(rankings, band keys, confirm sketch) of the documents with words after normalization.
 
-    Documents are sketched in batches of about :data:`BATCH_WORDS` words;
-    each batch's signature rows give ``band_keys`` (``len(ids) x bands``
-    uint64) and ``confirm_sketch`` (``len(ids) x num_perm`` uint16) and are
-    then dropped, so batch boundaries change no value and the full-width
+    Row ``i`` of all three is the ``i``-th such document: its ``Ranking``,
+    its ``bands`` uint64 keys and its ``num_perm`` uint16 bins.  Documents
+    are sketched in batches of about :data:`BATCH_WORDS` words; each
+    batch's signature rows give its key and sketch rows and are then
+    dropped, so batch boundaries change no value and the full-width
     signature matrix is never held.  Both arrays are allocated once with
     ``size`` rows (default ``len(documents)``), at least the number of
     documents, and filled in place; only the current batch's texts are held.
@@ -201,15 +202,15 @@ def fingerprint(
     size = len(documents) if size is None else size
     keys = np.empty((size, config.bands), dtype=np.uint64)
     sketch = np.empty((size, config.num_perm), dtype=SKETCH_DTYPE)
-    ids: list[str] = []
-    for batch_ids, texts in _batches(documents):
-        if len(ids) + len(texts) > size:
+    ranks: list[Ranking] = []
+    for batch, texts in _batches(documents):
+        if len(ranks) + len(texts) > size:
             raise ValueError(f"more than the {size} documents announced")
         block = signature_matrix(texts, config.perm_seed, config.num_perm, config.shingle_size)
-        keys[len(ids) : len(ids) + len(texts)] = band_keys(block, config.rows)
-        sketch[len(ids) : len(ids) + len(texts)] = confirm_sketch(block)
-        ids += batch_ids
-    return ids, keys[: len(ids)], sketch[: len(ids)]
+        keys[len(ranks) : len(ranks) + len(texts)] = band_keys(block, config.rows)
+        sketch[len(ranks) : len(ranks) + len(texts)] = confirm_sketch(block)
+        ranks += batch
+    return ranks, keys[: len(ranks)], sketch[: len(ranks)]
 
 
 def near_clusters(
@@ -220,29 +221,18 @@ def near_clusters(
 ) -> list[ClusterRecord]:
     """Near-duplicate clusters of the documents, each with its representative.
 
-    Document ids must be unique.  ``documents`` is read once, as a stream;
-    ``size`` is at least the number of documents (default
-    ``len(documents)``) and sizes the key and sketch arrays.  Clusters come
-    sorted by smallest member id; ``stats``, when given, receives the
-    bucket and confirmation counters.
+    Document ids must be unique.  ``documents`` is read once, as a stream,
+    by :func:`fingerprint`; ``size`` is at least the number of documents
+    (default ``len(documents)``) and sizes the key and sketch arrays.
+    Clusters come sorted by smallest member id; ``stats``, when given,
+    receives the bucket and confirmation counters.
     """
     stats = NearDupStats() if stats is None else stats
-    rankings: dict[str, Ranking] = {}
-
-    def ranked(docs: Iterable[Document]) -> Iterator[Document]:
-        for doc in docs:
-            rankings[doc.id] = Ranking(doc.id, doc.curated, doc.timestamp)
-            yield doc
-
-    size = len(documents) if size is None else size
-    ids, keys, sketch = fingerprint(ranked(documents), config, size)
-    forest = UnionFind(len(ids))
+    ranks, keys, sketch = fingerprint(documents, config, size)
+    forest = UnionFind(len(ranks))
     for column in keys.T:
         _link_buckets(forest, sketch, column, config.confirm_threshold, stats)
-    return [
-        replace(record, representative=choose_representative(record, rankings))
-        for record in cluster_records(forest, ids)
-    ]
+    return cluster_records(forest, ranks)
 
 
 def cluster_outcome(clusters: Iterable[ClusterRecord]) -> tuple[set[str], dict[str, int]]:

@@ -5,8 +5,9 @@ signature bin (:func:`~corpusops.dedup.minhash.confirm_sketch`).
 Candidate pairs (from LSH buckets) are confirmed by the fraction of equal
 sketch bins, a Jaccard estimate, before being unioned, so banding false
 positives cannot poison a cluster (:func:`link`).  Connected components
-with two or more members become :class:`ClusterRecord`; the output is
-invariant under any permutation of the input pairs.
+with two or more members become :class:`ClusterRecord`, each built once
+with its representative; the output is invariant under any permutation
+of the input pairs.
 """
 
 from __future__ import annotations
@@ -103,22 +104,22 @@ def link(
 class ClusterRecord:
     """A near-duplicate cluster of two or more documents.
 
-    ``members`` is sorted for stable serialization.  ``representative``
-    defaults to the smallest member id; :func:`choose_representative`
-    applies the source/recency preference when documents are resolvable.
+    ``members`` is sorted for stable serialization; ``representative`` is
+    the member to keep, as :func:`choose_representative` picks it.
     """
 
     members: tuple[str, ...]
     representative: str
-    size: int
 
     def __post_init__(self) -> None:
-        if self.size != len(self.members):
-            raise ValueError("cluster size must equal member count")
-        if self.size < 2:
+        if len(self.members) < 2:
             raise ValueError("emitted clusters must have >= 2 members")
         if self.representative not in self.members:
             raise ValueError("representative must be a cluster member")
+
+    @property
+    def size(self) -> int:
+        return len(self.members)
 
 
 def check_threshold(confirm_threshold: float) -> None:
@@ -129,19 +130,25 @@ def check_threshold(confirm_threshold: float) -> None:
         )
 
 
-def cluster_records(forest: UnionFind, ids: Sequence[str]) -> list[ClusterRecord]:
-    """Sets of two or more rows as records named by ``ids``, by smallest member id."""
+def _preferred(ranks: Sequence[Ranking] | Sequence[Document]) -> str:
+    """The id to keep of id-sorted members: curated, then newest, then first.
+
+    ISO-8601 dates order as strings; a missing date ranks oldest.
+    """
+    return max(ranks, key=lambda rank: (rank.curated, rank.timestamp or "")).id
+
+
+def cluster_records(forest: UnionFind, ranks: Sequence[Ranking]) -> list[ClusterRecord]:
+    """Sets of two or more rows as records named and ranked by ``ranks``, by smallest id."""
     roots = forest.roots()
     joined = np.flatnonzero(roots != np.arange(roots.size))
-    groups: dict[int, list[str]] = {}
+    groups: dict[int, list[Ranking]] = {}
     for row, root in zip(joined.tolist(), roots[joined].tolist()):
-        groups.setdefault(root, [ids[root]]).append(ids[row])
+        groups.setdefault(root, [ranks[root]]).append(ranks[row])
     records = []
     for group in groups.values():
-        members = tuple(sorted(group))
-        records.append(
-            ClusterRecord(members=members, representative=members[0], size=len(members))
-        )
+        group.sort(key=lambda rank: rank.id)
+        records.append(ClusterRecord(tuple(rank.id for rank in group), _preferred(group)))
     records.sort(key=lambda record: record.members[0])
     return records
 
@@ -155,10 +162,10 @@ def cluster(
 
     Pairs referencing ids without a signature are ignored, as are
     self-pairs.  Components of size >= 2 are returned sorted by smallest
-    member id; each record's representative is its smallest member id
-    until re-selected.  The signatures are cut to one confirm sketch
-    (:func:`~corpusops.dedup.minhash.confirm_sketch`) and confirmed by
-    :func:`link`, as :func:`~corpusops.dedup.near_dedup` does, so both
+    member id.  Every member ranks alike, so each record's representative
+    is its smallest member id.  The signatures are cut to one confirm
+    sketch (:func:`~corpusops.dedup.minhash.confirm_sketch`) and confirmed
+    by :func:`link`, as :func:`~corpusops.dedup.near_dedup` does, so both
     join the same pairs.
     """
     check_threshold(confirm_threshold)
@@ -177,7 +184,7 @@ def cluster(
     sketch = confirm_sketch(np.stack([signatures[doc_id].values for doc_id in ids]))
     forest = UnionFind(len(ids))
     link(forest, sketch, np.array(a), np.array(b), confirm_threshold)
-    return cluster_records(forest, ids)
+    return cluster_records(forest, [Ranking(doc_id, False, None) for doc_id in ids])
 
 
 class Ranking(NamedTuple):
@@ -197,11 +204,4 @@ def choose_representative(
     Documents without a timestamp rank as oldest.  Raises ``KeyError`` if
     any member id cannot be resolved.
     """
-    docs = [lookup[member_id] for member_id in cluster_record.members]
-
-    # Stable multi-pass sort: final tie-break first.  ISO-8601 dates order
-    # lexicographically, so no parsing is needed; missing dates rank oldest.
-    docs.sort(key=lambda doc: doc.id)
-    docs.sort(key=lambda doc: doc.timestamp or "", reverse=True)
-    docs.sort(key=lambda doc: doc.curated, reverse=True)
-    return docs[0].id
+    return _preferred(sorted((lookup[m] for m in cluster_record.members), key=lambda d: d.id))

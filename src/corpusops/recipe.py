@@ -187,6 +187,8 @@ def build_plan(
     """Resolve a plan from either a weight decay or a target timescale."""
     if (weight_decay is None) == (tau_target is None):
         raise ValueError("give exactly one of weight_decay or tau_target")
+    if params is not None:
+        _require_positive(params=params)
     if weight_decay is None:
         weight_decay = solve_weight_decay(tau_target, batch_tokens, lr, total_tokens)
     tau = tau_epoch(batch_tokens, lr, weight_decay, total_tokens)

@@ -232,6 +232,10 @@ def rolling_median_mad(series: Sequence[float], window: int) -> tuple[float, flo
     return tracker.median(), tracker.mad()
 
 
+def _robust_z(value: float, median: float, mad: float) -> float:
+    return (value - median) / (MAD_TO_SIGMA * max(mad, MAD_FLOOR))
+
+
 def spike_score(series: Sequence[float], window: int) -> tuple[float, bool]:
     """Robust local z-score of the last point and its spike flag.
 
@@ -239,8 +243,7 @@ def spike_score(series: Sequence[float], window: int) -> tuple[float, bool]:
     ``z_t > 5``.  The floor removes the singularity on locally constant
     series.
     """
-    median, mad = rolling_median_mad(series, window)
-    z = (series[-1] - median) / (MAD_TO_SIGMA * max(mad, MAD_FLOOR))
+    z = _robust_z(series[-1], *rolling_median_mad(series, window))
     return z, z > _SPIKE_Z
 
 
@@ -515,7 +518,7 @@ def run_monitor(
                 restart_peak = index
 
             if alert_run >= alert_w and index - alert_peak < alert_w:
-                z = (value - median()) / (MAD_TO_SIGMA * max(mad(), MAD_FLOOR))
+                z = _robust_z(value, median(), mad())
                 event = _window_event(1, step, recent, alert_w, z)
                 if webhook is not None:
                     webhook.put(event)
@@ -523,7 +526,7 @@ def run_monitor(
 
             if restart_run >= restart_w and index - restart_peak < restart_w:
                 if restart_armed:
-                    z = (value - median()) / (MAD_TO_SIGMA * max(mad(), MAD_FLOOR))
+                    z = _robust_z(value, median(), mad())
                     rollback = rollback_step(step, config.checkpoint_interval)
                     event = _window_event(2, step, recent, restart_w, z, rollback)
                     restart_armed = False

@@ -14,6 +14,7 @@
 
 from __future__ import annotations
 
+import heapq
 import random
 import re
 from dataclasses import dataclass, field
@@ -326,22 +327,18 @@ def topo_order(graph: DepGraph, listing: Sequence[str]) -> list[str]:
             dependents[a].add(b)
             indegree[b] += 1
 
-    ready = sorted(
-        (c for c in members if indegree[c] == 0),
-        key=lambda c: rank[members[c][0]],
-    )
+    # (listing rank of the first member, component): ranks are unique, so
+    # the heap never compares components.
+    ready = [(rank[members[c][0]], c) for c in members if indegree[c] == 0]
+    heapq.heapify(ready)
     ordered: list[str] = []
     while ready:
-        current = ready.pop(0)
+        _, current = heapq.heappop(ready)
         ordered.extend(members[current])
-        changed = False
         for nxt in dependents[current]:
             indegree[nxt] -= 1
             if indegree[nxt] == 0:
-                ready.append(nxt)
-                changed = True
-        if changed:
-            ready.sort(key=lambda c: rank[members[c][0]])
+                heapq.heappush(ready, (rank[members[nxt][0]], nxt))
     return ordered
 
 

@@ -196,7 +196,8 @@ def reference_band_keys(values, rows: int) -> list[int]:
 
 
 # ---------------------------------------------------------------------------
-# Planted near-duplicate corpora and a single-linkage clustering oracle
+# Planted near-duplicate corpora, a single-linkage clustering oracle and the
+# representative rule
 
 
 def random_words(rng: random.Random, n: int) -> list[str]:
@@ -257,6 +258,14 @@ def single_linkage_clusters(ids, similarity, threshold: float):
         if len(component) >= 2:
             components.append(frozenset(component))
     return set(components)
+
+
+def reference_representative(docs) -> str:
+    """Id of the member to keep, by one stable sort per key, last tie-break first."""
+    docs = sorted(docs, key=lambda doc: doc.id)
+    docs.sort(key=lambda doc: doc.timestamp or "", reverse=True)
+    docs.sort(key=lambda doc: doc.curated, reverse=True)
+    return docs[0].id
 
 
 # ---------------------------------------------------------------------------
@@ -469,6 +478,57 @@ def reference_extract_imports(repo_file) -> list[str]:
             if name not in seen:
                 seen.append(name)
     return seen
+
+
+# ---------------------------------------------------------------------------
+# Topological order oracle: the ready list kept sorted and popped from the
+# front, as topo_order did before it used a heap, over components found by
+# mutual reachability
+
+
+def reference_topo_order(graph, listing) -> list[str]:
+    reach = {path: {path} for path in listing}
+    for path in listing:  # depth-first search from every node
+        stack = [path]
+        while stack:
+            for dependency, dependent in graph.edges:
+                if dependency == stack[-1] and dependent not in reach[path]:
+                    reach[path].add(dependent)
+                    stack.append(dependent)
+                    break
+            else:
+                stack.pop()
+    rank = {path: i for i, path in enumerate(listing)}
+    component_of = {
+        path: min(rank[other] for other in reach[path] if path in reach[other])
+        for path in listing
+    }
+    members: dict[int, list[str]] = {}
+    for path in listing:
+        members.setdefault(component_of[path], []).append(path)
+
+    indegree = {c: 0 for c in members}
+    dependents: dict[int, set[int]] = {c: set() for c in members}
+    for dependency, dependent in graph.edges:
+        a, b = component_of[dependency], component_of[dependent]
+        if a != b and b not in dependents[a]:
+            dependents[a].add(b)
+            indegree[b] += 1
+
+    ready = sorted((c for c in members if indegree[c] == 0), key=lambda c: rank[members[c][0]])
+    ordered: list[str] = []
+    while ready:
+        current = ready.pop(0)
+        ordered.extend(members[current])
+        changed = False
+        for nxt in dependents[current]:
+            indegree[nxt] -= 1
+            if indegree[nxt] == 0:
+                ready.append(nxt)
+                changed = True
+        if changed:
+            ready.sort(key=lambda c: rank[members[c][0]])
+    return ordered
 
 
 # ---------------------------------------------------------------------------

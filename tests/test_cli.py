@@ -211,12 +211,6 @@ class TestDedupNearCli:
         assert "duplicate id" not in err
         assert json.loads(err.splitlines()[-1])["documents"] == 3
 
-    def test_negative_seed_exits_2(self, monkeypatch, capsys):
-        stdin = records({"id": "a", "text": "hello world"})
-        code, out, err = run_cli(["dedup-near", "--seed", "-1"], stdin, monkeypatch, capsys)
-        assert code == 2
-        assert err.strip() == "error: expected non-negative integer"
-
     @pytest.mark.parametrize("threshold", ["0", "1", "2", "nan"])
     def test_bad_threshold_exits_2_before_the_input_is_read(
         self, threshold, monkeypatch, capsys
@@ -882,6 +876,7 @@ class TestBadFlags:
 
     MONITOR = ["monitor", "--total-steps", "2000", "--interval", "500", "-i", "{input}"]
     PLAN = ["plan", "--batch-tokens", "1", "--lr", "1", "--tokens", "10"]
+    TPP_PAIR = "scales --tau, so needs --tau, --tpp-ref and --tpp-target"
     CASES = {
         "alert": ([*MONITOR, "--alert", "3,2", "--restart", "5,2.5,4.0"],
                   "argument --alert: expects w,Tmin,Tmax (got '3,2'): "
@@ -917,6 +912,31 @@ class TestBadFlags:
                      "argument --max-open: must be >= 1, got 0"),
         "not-a-number": (["dedup-exact", "--capacity", "1e3", "-i", "{input}"],
                          "argument --capacity: invalid int value: '1e3'"),
+        "near-seed": (["dedup-near", "--seed", "-1", "-i", "{input}"],
+                      "argument --seed: must be >= 0, got -1"),
+        "perms": (["dedup-near", "--perms", "0", "-i", "{input}"],
+                  "argument --perms: must be >= 1, got 0"),
+        "bands": (["dedup-near", "--bands", "0", "-i", "{input}"],
+                  "argument --bands: must be >= 1, got 0"),
+        "rows": (["dedup-near", "--rows", "0", "-i", "{input}"],
+                 "argument --rows: must be >= 1, got 0"),
+        "perms-not-bands-times-rows": (["dedup-near", "--perms", "100", "-i", "{input}"],
+                                       "argument --perms: must equal --bands * --rows = 128, "
+                                       "got 100"),
+        "bands-times-rows-not-perms": (["dedup-near", "--bands", "8", "-i", "{input}"],
+                                       "argument --perms: must equal --bands * --rows = 64, "
+                                       "got 128"),
+        "params": ([*PLAN, "--wd", "0.1", "--params", "0"], "argument --params: must be > 0, got 0.0"),
+        "tpp-ref-zero": ([*PLAN, "--tau", "0.1", "--tpp-ref", "0", "--tpp-target", "40"],
+                         "argument --tpp-ref: must be > 0, got 0.0"),
+        "tpp-target-zero": ([*PLAN, "--tau", "0.1", "--tpp-ref", "20", "--tpp-target", "0"],
+                            "argument --tpp-target: must be > 0, got 0.0"),
+        "tpp-ref-alone": ([*PLAN, "--tau", "0.1", "--tpp-ref", "20"],
+                          f"argument --tpp-ref: {TPP_PAIR}"),
+        "tpp-target-alone": ([*PLAN, "--tau", "0.1", "--tpp-target", "40"],
+                             f"argument --tpp-target: {TPP_PAIR}"),
+        "tpp-with-wd": ([*PLAN, "--wd", "0.1", "--tpp-ref", "20", "--tpp-target", "40"],
+                        f"argument --tpp-ref: {TPP_PAIR}"),
     }
 
     @pytest.mark.parametrize("case", sorted(CASES))

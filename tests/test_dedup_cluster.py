@@ -27,6 +27,7 @@ from helpers import (
     mutate_document,
     planted_corpus,
     random_words,
+    reference_representative,
     single_linkage_clusters,
 )
 
@@ -132,9 +133,9 @@ class TestUnionFind:
 class TestClusterRecord:
     def test_invariants_enforced(self):
         with pytest.raises(ValueError):
-            ClusterRecord(members=("a",), representative="a", size=1)
+            ClusterRecord(members=("a",), representative="a")
         with pytest.raises(ValueError):
-            ClusterRecord(members=("a", "b"), representative="z", size=2)
+            ClusterRecord(members=("a", "b"), representative="z")
 
 
 class TestChooseRepresentative:
@@ -143,7 +144,7 @@ class TestChooseRepresentative:
             "cc": make_doc("cc", curated=False, timestamp="2024-06-01"),
             "cur": make_doc("cur", curated=True, timestamp="2020-01-01"),
         }
-        record = ClusterRecord(members=("cc", "cur"), representative="cc", size=2)
+        record = ClusterRecord(members=("cc", "cur"), representative="cc")
         assert choose_representative(record, docs) == "cur"
 
     def test_newer_beats_older(self):
@@ -151,12 +152,12 @@ class TestChooseRepresentative:
             "old": make_doc("old", timestamp="2020-05-05"),
             "new": make_doc("new", timestamp="2024-05-05"),
         }
-        record = ClusterRecord(members=("new", "old"), representative="new", size=2)
+        record = ClusterRecord(members=("new", "old"), representative="new")
         assert choose_representative(record, docs) == "new"
 
     def test_all_keys_equal_smallest_id(self):
         docs = {name: make_doc(name) for name in ("b", "a", "c")}
-        record = ClusterRecord(members=("a", "b", "c"), representative="a", size=3)
+        record = ClusterRecord(members=("a", "b", "c"), representative="a")
         assert choose_representative(record, docs) == "a"
 
     def test_missing_timestamp_ranks_oldest(self):
@@ -164,11 +165,22 @@ class TestChooseRepresentative:
             "undated": make_doc("undated"),
             "dated": make_doc("dated", timestamp="1999-01-01"),
         }
-        record = ClusterRecord(members=("dated", "undated"), representative="dated", size=2)
+        record = ClusterRecord(members=("dated", "undated"), representative="dated")
         assert choose_representative(record, docs) == "dated"
 
+    def test_matches_one_sort_per_key(self):
+        # Ids drawn apart from the ranking, so id order rarely picks the member.
+        rng = random.Random(23)
+        for _ in range(300):
+            ids = sorted(rng.sample([f"d{i}" for i in range(20)], rng.randint(2, 6)))
+            docs = {i: make_doc(i, curated=rng.random() < 0.3,
+                                timestamp=rng.choice([None, "2023-01-01", "2023-06-01", "2024-01-01"]))
+                    for i in ids}
+            record = ClusterRecord(members=tuple(ids), representative=ids[0])
+            assert choose_representative(record, docs) == reference_representative(docs.values())
+
     def test_unresolvable_member_errors(self):
-        record = ClusterRecord(members=("a", "b"), representative="a", size=2)
+        record = ClusterRecord(members=("a", "b"), representative="a")
         with pytest.raises(KeyError):
             choose_representative(record, {"a": make_doc("a")})
 
@@ -187,6 +199,24 @@ class TestNearDedupPipeline:
             assert sum(m in kept_ids for m in record.members) == 1
         promoted = {d.id: d.dup_count for d in kept if d.dup_count > 1}
         assert promoted == {r.representative: r.size for r in clusters}
+
+    def test_each_record_names_its_representative(self):
+        # Rows in shuffled order, so neither row nor id order gives the
+        # sorted members or the member to keep.
+        rng = random.Random(29)
+        texts = planted_corpus(rng, n_groups=12, group_size=4, n_singletons=10)
+        docs = [Document(id=i, text=t, curated=rng.random() < 0.3,
+                         timestamp=rng.choice([None, "2023-05-01", "2024-01-01"]))
+                for i, t in texts.items()]
+        rng.shuffle(docs)
+        by_id = {doc.id: doc for doc in docs}
+        clusters = pipeline.near_clusters(docs, NearDupConfig(perm_seed=5))
+        assert any(record.representative != record.members[0] for record in clusters)
+        for record in clusters:
+            assert record.members == tuple(sorted(record.members))
+            assert record.representative == reference_representative(
+                by_id[m] for m in record.members
+            )
 
     def test_idempotent_on_own_output(self):
         rng = random.Random(9)

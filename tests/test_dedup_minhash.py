@@ -375,8 +375,8 @@ class TestSignatureMatrix:
             assert np.array_equal(single.values, row)
         for batch_words in (1, 50, 333, pipeline.BATCH_WORDS, 10**9):
             monkeypatch.setattr(pipeline, "BATCH_WORDS", batch_words)
-            batched_ids, keys, sketch = pipeline.fingerprint(docs, config)
-            assert batched_ids == ids
+            ranks, keys, sketch = pipeline.fingerprint(docs, config)
+            assert [r.id for r in ranks] == ids
             assert np.array_equal(keys, band_keys(rows, config.rows))
             assert sketch.dtype == np.uint16
             assert np.array_equal(sketch, rows & np.uint64(0xFFFF))

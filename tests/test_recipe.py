@@ -203,6 +203,11 @@ class TestBuildPlan:
         plan = build_plan(1e6, 1e-4, 1.4e12, weight_decay=0.1, params=7e10)
         assert plan.tokens_per_parameter == pytest.approx(20.0)
 
+    @pytest.mark.parametrize("params", [0.0, -7e10, float("nan")])
+    def test_params_must_be_positive(self, params):
+        with pytest.raises(ValueError, match="params must be positive"):
+            build_plan(1e6, 1e-4, 1.4e12, weight_decay=0.1, params=params)
+
 
 def four_stage_plan():
     # Staged context extension: 8k -> 64k -> 128k -> 512k with RoPE bases

@@ -21,7 +21,12 @@ from corpusops.transforms import (
     topo_order,
 )
 
-from helpers import _reference_extension, reconstruct_fim, reference_extract_imports
+from helpers import (
+    _reference_extension,
+    reconstruct_fim,
+    reference_extract_imports,
+    reference_topo_order,
+)
 
 CFG = FimConfig()
 
@@ -257,6 +262,25 @@ class TestTopoOrder:
                 graph.add_edge(a, b)
             order = topo_order(graph, listing)
             assert sorted(order) == sorted(listing)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.integers(1, 14).flatmap(
+            lambda n: st.tuples(
+                st.permutations(range(n)),
+                st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=3 * n),
+            )
+        )
+    )
+    def test_same_order_as_sorted_ready_list(self, drawn):
+        # Cycles, chains, fans and isolated files, listed in any order.
+        permutation, pairs = drawn
+        listing = [f"f{i}.py" for i in permutation]
+        graph = DepGraph(nodes=sorted(listing))
+        for a, b in pairs:
+            if a != b:
+                graph.add_edge(f"f{a}.py", f"f{b}.py")
+        assert topo_order(graph, listing) == reference_topo_order(graph, listing)
 
 
 class TestBuildDepGraph:
