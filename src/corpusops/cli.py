@@ -338,7 +338,7 @@ def cmd_mix(args: argparse.Namespace) -> int:
     parse = _row_parser(
         lambda row: GroupStat(
             group=row["group"],
-            tokens=int(row["tokens"]),
+            tokens=row["tokens"],
             bucket=DupBucket(row["bucket"]),
             source_class=SourceClass(row.get("source_class", "CommonCrawl")),
         ),
@@ -469,12 +469,9 @@ def _length_counter(counter: str) -> Callable[[Document], int]:
         raw = doc.extra.get(field_name)
         if raw is None:
             raise ValueError(f"record {doc.id} is missing length field {field_name!r}")
-        try:
-            return int(raw)
-        except (TypeError, OverflowError):
-            raise ValueError(
-                f"record {doc.id} has a non-integer {field_name!r}: {raw!r}"
-            ) from None
+        if not isinstance(raw, int) or isinstance(raw, bool):
+            raise ValueError(f"record {doc.id} has a non-integer {field_name!r}: {raw!r}")
+        return raw
 
     return length
 
@@ -525,10 +522,11 @@ def cmd_monitor(args: argparse.Namespace) -> int:
     def point(row: dict) -> tuple[int, float]:
         nonlocal last_step
         step, loss = row["step"], row["loss"]
-        # JSON numbers only: int() and float() would also take true or "7.5".
-        # The common types are tested first, so most rows convert nothing.
+        # JSON numbers only: int() and float() would also take true or "7.5",
+        # and int() would cut 2.5 to 2.  The common types are tested first,
+        # so most rows convert nothing.
         if type(step) is not int:
-            if type(step) is not float:
+            if type(step) is not float or not step.is_integer():
                 raise TypeError(f"step {step!r}")
             step = int(step)
         if type(loss) is not float:
@@ -542,7 +540,7 @@ def cmd_monitor(args: argparse.Namespace) -> int:
         last_step = step
         return step, loss
 
-    parse = _row_parser(point, 'numeric "step" and "loss"')
+    parse = _row_parser(point, 'integer-valued "step" and numeric "loss"')
     config = MonitorConfig(
         alert=args.alert,
         restart=args.restart,

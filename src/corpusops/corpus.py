@@ -160,6 +160,10 @@ def parse_record(line: str, line_number: int) -> Document:
     elif not isinstance(doc_id, str):
         doc_id = str(doc_id)
 
+    curated = obj.get("curated", False)
+    if not isinstance(curated, bool):
+        raise ValueError('"curated" must be true or false')
+
     timestamp = obj.get("timestamp")
     if timestamp is not None and not isinstance(timestamp, str):
         raise ValueError('"timestamp" must be a string')
@@ -170,7 +174,7 @@ def parse_record(line: str, line_number: int) -> Document:
         text=text,
         source_class=source_class,
         dup_count=dup_count,
-        curated=bool(obj.get("curated", False)),
+        curated=curated,
         timestamp=timestamp,
         extra=extra,
     )

@@ -7,13 +7,13 @@ Documents longer than the sequence capacity are skipped and counted, and
 no document is ever split, so truncation is zero by construction.
 
 The open-bin table is bounded (``max_open_bins``), keeping memory constant
-for arbitrarily long streams; remaining capacities are kept sorted so each
-placement is a bisect plus small list surgery.
+for arbitrarily long streams.  It is one list of ``[room, opening order,
+entries]`` kept sorted, so each placement is a bisect, a pop and an insort.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left
+from bisect import bisect_left, insort
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
@@ -75,15 +75,6 @@ class PackStats:
         return self.padding_tokens / (self.sequences * self.capacity)
 
 
-class _Bin:
-    __slots__ = ("entries", "used", "order")
-
-    def __init__(self, order: int):
-        self.entries: list[tuple[str, int]] = []
-        self.used = 0
-        self.order = order
-
-
 def pack_online(
     inputs: Iterable[PackInput],
     capacity: int,
@@ -104,49 +95,41 @@ def pack_online(
     stats = PackStats(capacity=capacity)
 
     def generate() -> Iterator[PackedSequence]:
-        # Parallel arrays sorted by (remaining, order): table[i] is the bin
-        # whose remaining capacity is keys[i][0].
-        keys: list[tuple[int, int]] = []
-        table: list[_Bin] = []
+        # Open bins as [room, opening order, entries], sorted; (room, order)
+        # is unique, so two bins never compare their entries.
+        bins: list[list] = []
         opened = 0
 
-        def seal(bin_: _Bin) -> PackedSequence:
+        def seal(room: int, entries: list[tuple[str, int]]) -> PackedSequence:
             stats.sequences += 1
-            padding = capacity - bin_.used
-            stats.padding_tokens += padding
+            stats.padding_tokens += room
             return PackedSequence(
-                capacity=capacity, entries=tuple(bin_.entries), padding=padding
+                capacity=capacity, entries=tuple(entries), padding=room
             )
-
-        def remove_at(i: int) -> _Bin:
-            keys.pop(i)
-            return table.pop(i)
 
         for item in inputs:
             if item.length > capacity:
                 stats.docs_skipped += 1
                 continue
-            # Best fit: smallest remaining >= length; ties -> oldest bin.
-            i = bisect_left(keys, (item.length, -1))
-            if i < len(keys):
-                bin_ = remove_at(i)
+            # Best fit: least room >= length; ties -> oldest bin.
+            i = bisect_left(bins, [item.length, -1])
+            if i < len(bins):
+                room, order, entries = bins.pop(i)
             else:
-                if len(table) >= max_open_bins:
-                    yield seal(remove_at(0))  # fullest bin, oldest on ties
-                bin_ = _Bin(opened)
+                if len(bins) >= max_open_bins:
+                    room, _, entries = bins.pop(0)  # fullest, oldest on ties
+                    yield seal(room, entries)
+                room, order, entries = capacity, opened, []
                 opened += 1
-            bin_.entries.append((item.id, item.length))
-            bin_.used += item.length
+            entries.append((item.id, item.length))
             stats.docs_packed += 1
-            remaining = capacity - bin_.used
-            if remaining == 0:
-                yield seal(bin_)
+            room -= item.length
+            if room == 0:
+                yield seal(room, entries)
             else:
-                position = bisect_left(keys, (remaining, bin_.order))
-                keys.insert(position, (remaining, bin_.order))
-                table.insert(position, bin_)
+                insort(bins, [room, order, entries])
 
-        for bin_ in sorted(table, key=lambda b: b.order):
-            yield seal(bin_)
+        for room, _, entries in sorted(bins, key=lambda b: b[1]):
+            yield seal(room, entries)
 
     return generate(), stats

@@ -232,15 +232,17 @@ class DepGraph:
 
     nodes: list[str]
     edges: set[tuple[str, str]] = field(default_factory=set, init=False)
+    _node_set: set[str] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        if len(set(self.nodes)) != len(self.nodes):
+        self._node_set = set(self.nodes)
+        if len(self._node_set) != len(self.nodes):
             raise ValueError("duplicate node paths")
 
     def add_edge(self, dependency: str, dependent: str) -> None:
         if dependency == dependent:
             raise ValueError(f"self-edge on {dependency!r}")
-        if dependency not in self.nodes or dependent not in self.nodes:
+        if dependency not in self._node_set or dependent not in self._node_set:
             raise ValueError(f"edge ({dependency!r}, {dependent!r}) off the node set")
         self.edges.add((dependency, dependent))
 
@@ -261,11 +263,11 @@ def _stem_of_name(candidate: str) -> str:
 
 
 def _resolve_module(
-    name: str, importer: str, by_path: dict[str, str], stems: dict[str, list[str]]
+    name: str, importer: str, paths: set[str], stems: dict[str, list[str]]
 ) -> str | None:
     candidate = name.lstrip("./")
-    if candidate in by_path:
-        return by_path[candidate]
+    if candidate in paths:
+        return candidate
     importer_ext = importer.rsplit(".", 1)[-1] if "." in importer else ""
     dotted = candidate.replace(".", "/")
     for probe in (
@@ -273,8 +275,8 @@ def _resolve_module(
         f"{dotted}.{importer_ext}",
         f"{dotted}/__init__.{importer_ext}",
     ):
-        if probe in by_path:
-            return by_path[probe]
+        if probe in paths:
+            return probe
     matches = stems.get(_stem_of_name(candidate))
     return matches[0] if matches else None
 
@@ -287,7 +289,7 @@ def build_dep_graph(files: Sequence[RepoFile]) -> DepGraph:
     order).  Unresolvable names and self-imports are ignored.
     """
     paths = [f.path for f in files]
-    by_path = {p: p for p in paths}
+    path_set = set(paths)
     stems: dict[str, list[str]] = {}
     for path in paths:
         stem = path.rsplit("/", 1)[-1].rsplit(".", 1)[0]
@@ -296,7 +298,7 @@ def build_dep_graph(files: Sequence[RepoFile]) -> DepGraph:
     graph = DepGraph(nodes=list(paths))
     for repo_file in files:
         for name in extract_imports(repo_file):
-            target = _resolve_module(name, repo_file.path, by_path, stems)
+            target = _resolve_module(name, repo_file.path, path_set, stems)
             if target is not None and target != repo_file.path:
                 graph.add_edge(target, repo_file.path)
     return graph
@@ -347,7 +349,7 @@ def _strongly_connected_components(
 ) -> dict[str, int]:
     """Iterative Tarjan; returns node -> component id."""
     adjacency: dict[str, list[str]] = {path: [] for path in listing}
-    for dependency, dependent in sorted(graph.edges):
+    for dependency, dependent in graph.edges:
         adjacency[dependency].append(dependent)
 
     index_of: dict[str, int] = {}
@@ -445,5 +447,8 @@ def append_qa(document: str, qa_pairs: Sequence[tuple[str, str]]) -> str:
     """
     if not qa_pairs:
         raise ValueError("need at least one question/answer pair")
+    for q, a in qa_pairs:
+        if not isinstance(q, str) or not isinstance(a, str):
+            raise TypeError(f"question and answer must be strings, got {q!r}, {a!r}")
     blocks = "".join(f"\n\nQ: {q}\nA: {a}" for q, a in qa_pairs)
     return document + blocks + "\n"

@@ -89,7 +89,7 @@ class TestDedupExactCli:
     PASS_THROUGH = [
         ('{"text": "First  doc",   "id": "a", "z": [1, {"k": null}]}\r\n',
          '{"text": "First  doc",   "id": "a", "z": [1, {"k": null}]}\n'),
-        ('{"id": null, "text": "named by its line", "curated": 1}\n',
+        ('{"id": null, "text": "named by its line", "curated": true}\n',
          '{"id": "line-2", "text": "named by its line", "source_class": "CommonCrawl", '
          '"dup_count": 1, "curated": true}\n'),
         ('{"text":"first DOC!","id":"copy"}\n', ""),
@@ -198,6 +198,16 @@ class TestDedupNearCli:
         assert parse_lines(out)[:2] == parse_lines(expected)[:2]
         assert err.splitlines()[0] == "line 3: duplicate id 'a', first on line 1"
         assert json.loads(err.splitlines()[-1])["documents"] == 3
+
+    def test_string_curated_is_skipped_not_taken_as_true(self, monkeypatch, capsys):
+        good = {"id": "b", "text": "x y z"}
+        _, expected, _ = run_cli(["dedup-near"], records(good), monkeypatch, capsys)
+        stdin = records({"id": "a", "text": "x y z", "curated": "false"}, good)
+        code, out, err = run_cli(["dedup-near"], stdin, monkeypatch, capsys)
+        assert code == 0
+        assert out == expected
+        assert err.splitlines()[0] == 'line 1: "curated" must be true or false'
+        assert json.loads(err.splitlines()[-1])["documents"] == 1
 
     def test_null_ids_are_named_by_their_line(self, monkeypatch, capsys):
         rows = [
@@ -429,6 +439,9 @@ class TestMixCli:
             '{"tokens": 5, "bucket": "1"}',
             '{"group": "g", "tokens": "many", "bucket": "1"}',
             '{"group": "g", "tokens": 5, "bucket": "7-9"}',
+            '{"group": "g", "tokens": "5", "bucket": "1"}',
+            '{"group": "g", "tokens": true, "bucket": "1"}',
+            '{"group": "g", "tokens": 2.9, "bucket": "1"}',
             "[1, 2]",
         ],
     )
@@ -559,6 +572,8 @@ class TestTransformCli:
             '{"id": "x", "text": "x", "qa": [{"q": "a"}]}',
             '{"id": "x", "text": "x", "qa": "text"}',
             '{"id": "x", "text": "x", "qa": 5}',
+            '{"id": "x", "text": "x", "qa": [{"q": 5, "a": null}]}',
+            '{"id": "x", "text": "x", "qa": [{"q": "Q?", "a": ["A."]}]}',
         ],
     )
     def test_qa_bad_line_is_skipped_and_reported(self, garbage, monkeypatch, capsys):
@@ -614,6 +629,9 @@ class TestPackCliBadLines:
             records(good[0], {"id": "b", "text": "y"})
             + "not json\n"
             + '{"id": "d", "text": "w", "n": 1e999}\n'
+            + '{"id": "e", "text": "v", "n": "7"}\n'
+            + '{"id": "f", "text": "u", "n": true}\n'
+            + '{"id": "g", "text": "t", "n": 2.9}\n'
             + records(good[1])
         )
         code, out, err = run_cli(args, stdin, monkeypatch, capsys)
@@ -623,6 +641,9 @@ class TestPackCliBadLines:
             "line 2: record b is missing length field 'n'",
             "line 3: Expecting value: line 1 column 1 (char 0)",
             "line 4: record d has a non-integer 'n': inf",
+            "line 5: record e has a non-integer 'n': '7'",
+            "line 6: record f has a non-integer 'n': True",
+            "line 7: record g has a non-integer 'n': 2.9",
         ]
 
 
@@ -648,6 +669,7 @@ class TestMonitorCli:
             '{"step": 5, "loss": "7.5"}',
             '{"step": "5", "loss": 7.5}',
             '{"step": 5, "loss": false}',
+            '{"step": 1055.5, "loss": 1}',
         ],
     )
     def test_bad_line_is_skipped_and_reported(self, garbage, monkeypatch, capsys):
@@ -660,6 +682,14 @@ class TestMonitorCli:
         assert parse_lines(out) == parse_lines(expected)
         assert any(e["tier"] == 2 for e in parse_lines(out))
         assert err.startswith("line 26: ") and len(err.splitlines()) == 1
+
+    def test_integral_float_steps_are_taken_as_integers(self, monkeypatch, capsys):
+        values = [1.0] * 20 + [5.0] * 8 + [1.0] * 10
+        rows = [{"step": 1030 + i, "loss": v} for i, v in enumerate(values)]
+        _, expected, _ = run_cli(self.ARGS, records(*rows), monkeypatch, capsys)
+        stdin = "".join(f'{{"step": {r["step"] / 10}e1, "loss": {r["loss"]}}}\n' for r in rows)
+        code, out, err = run_cli(self.ARGS, stdin, monkeypatch, capsys)
+        assert (code, out, err) == (0, expected, "")
 
     def test_non_finite_losses_are_skipped_and_reported(self, monkeypatch, capsys):
         # NaN among the losses used to end in an IndexError traceback from

@@ -71,6 +71,19 @@ class TestReadRecords:
         assert [d.id for d in docs] == ["b"]
         assert errors[0].line_number == 1 and "dup_count" in errors[0].message
 
+    @pytest.mark.parametrize("curated", ['"false"', '"true"', "1", "0", "null", "[]"])
+    def test_curated_other_than_a_json_boolean_is_malformed(self, curated):
+        errors = []
+        docs = read_all(
+            f'{{"id":"a","text":"x","curated":{curated}}}\n'
+            '{"id":"b","text":"y","curated":false}\n{"id":"c","text":"z","curated":true}\n',
+            errors,
+        )
+        assert [(d.id, d.curated) for d in docs] == [("b", False), ("c", True)]
+        assert [(e.line_number, e.message) for e in errors] == [
+            (1, '"curated" must be true or false')
+        ]
+
 
 class TestWriteRecords:
     def test_round_trip_three_docs(self):

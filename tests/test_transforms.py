@@ -230,6 +230,24 @@ class TestTopoOrder:
         with pytest.raises(ValueError):
             graph.add_edge("a.py", "a.py")
 
+    def test_add_edge_does_not_scan_the_node_list(self):
+        # A membership scan of the list per edge made build_dep_graph
+        # quadratic in the number of files.
+        class CountingList(list):
+            scans = 0
+
+            def __contains__(self, item):
+                CountingList.scans += 1
+                return super().__contains__(item)
+
+        graph = DepGraph(nodes=CountingList(["a.py", "b.py", "c.py"]))
+        graph.add_edge("a.py", "b.py")
+        graph.add_edge("b.py", "c.py")
+        with pytest.raises(ValueError, match="off the node set"):
+            graph.add_edge("a.py", "z.py")
+        assert CountingList.scans == 0
+        assert graph.edges == {("a.py", "b.py"), ("b.py", "c.py")}
+
     def test_random_dags_respect_all_edges(self):
         rng = random.Random(77)
         for _ in range(120):
