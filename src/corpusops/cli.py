@@ -344,8 +344,17 @@ def cmd_mix(args: argparse.Namespace) -> int:
         ),
         '"group", integer "tokens" and "bucket"',
     )
+    first_line: dict[str, int] = {}  # a group's first row is kept, a later one reported
+
+    def unique(line: str, line_number: int) -> GroupStat:
+        stat = parse(line, line_number)
+        first = first_line.setdefault(stat.group, line_number)
+        if first != line_number:
+            raise ValueError(f"duplicate group {stat.group!r}, first on line {first}")
+        return stat
+
     with _open_in(args.stats) as src:
-        stats = list(read_rows(src, parse, on_error=_report_bad_line))
+        stats = list(read_rows(src, unique, on_error=_report_bad_line))
     manifest = build_manifest(stats)
     quotas = (
         sample_plan(manifest, args.target_tokens)
@@ -517,7 +526,7 @@ def _parse_tier(name: str, value: str) -> DetectorTier:
 def cmd_monitor(args: argparse.Namespace) -> int:
     from corpusops.runwatch import MonitorConfig, run_monitor
 
-    last_step = -math.inf  # a log replayed after a rollback repeats steps
+    last_step = -1  # steps start at 0; a log replayed after a rollback repeats steps
 
     def point(row: dict) -> tuple[int, float]:
         nonlocal last_step
@@ -536,6 +545,8 @@ def cmd_monitor(args: argparse.Namespace) -> int:
         if not math.isfinite(loss):
             raise ValueError(f'"loss" must be finite, got {loss}')
         if step <= last_step:
+            if step < 0:
+                raise ValueError(f'"step" must be >= 0, got {step}')
             raise ValueError(f"steps must be strictly increasing: {step} after {last_step}")
         last_step = step
         return step, loss
@@ -681,7 +692,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("mix", help="mix manifest from group stats")
     _add_file(p, _SOURCE, "--stats", required=True, help="group stats records path")
-    p.add_argument("--target-tokens", type=int, default=None)
+    p.add_argument("--target-tokens", type=_NATURAL, default=None)
     _add_file(p, _SINK, "-o", "--output")
     _add_file(p, _SINK)  # the table, when -o is given
     p.set_defaults(func=cmd_mix)

@@ -80,7 +80,6 @@ class RecordError:
 
     line_number: int
     message: str
-    raw: str
 
 
 class RecordWriteError(OSError):
@@ -239,7 +238,7 @@ def read_rows(
                 _check_escapes(line)
             yield parse(line, line_number)
         except ValueError as exc:
-            err = RecordError(line_number, str(exc), line.rstrip("\n"))
+            err = RecordError(line_number, str(exc))
             if on_error is not None:
                 on_error(err)
             else:

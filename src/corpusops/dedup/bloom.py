@@ -84,18 +84,16 @@ class BloomFilter:
         for i in range(self.num_hashes):
             yield (h1 + i * h2) % self.num_bits
 
-    def add(self, item: bytes) -> None:
-        for pos in self._positions(item):
-            self._bits[pos >> 3] |= 1 << (pos & 7)
-        self.inserted += 1
-
     def __contains__(self, item: bytes) -> bool:
         return all(
             self._bits[pos >> 3] & (1 << (pos & 7)) for pos in self._positions(item)
         )
 
-    def add_if_new(self, item: bytes) -> bool:
-        """Test-and-set in one pass; True iff the item was (probably) new."""
+    def add(self, item: bytes) -> bool:
+        """Test-and-set in one pass; True iff the item was (probably) new.
+
+        Only a new item counts in ``inserted``.
+        """
         new = False
         for pos in self._positions(item):
             mask = 1 << (pos & 7)
@@ -142,7 +140,7 @@ def exact_dedup(
     def generate() -> Iterator[_T]:
         for doc in documents:
             stats.seen += 1
-            if bloom.add_if_new(content_digest(doc.text)):
+            if bloom.add(content_digest(doc.text)):
                 yield doc
             else:
                 stats.dropped += 1

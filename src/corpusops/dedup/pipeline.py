@@ -28,7 +28,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from itertools import combinations
-from typing import Iterable, Iterator, Mapping
+from typing import ClassVar, Iterable, Iterator, Mapping
 
 import numpy as np
 
@@ -75,11 +75,11 @@ class NearDupConfig:
     """Near-dedup settings, checked on construction, before any input is read."""
 
     num_perm: int = DEFAULT_NUM_PERMUTATIONS
-    shingle_size: int = DEFAULT_SHINGLE_SIZE
     bands: int = 16
     rows: int = 8
     confirm_threshold: float = 0.8
     perm_seed: int = 0
+    shingle_size: ClassVar[int] = DEFAULT_SHINGLE_SIZE  # words per shingle
 
     def __post_init__(self) -> None:
         if self.bands < 1 or self.rows < 1:

@@ -85,6 +85,8 @@ class GroupStat:
     source_class: SourceClass
 
     def __post_init__(self) -> None:
+        if not isinstance(self.group, str):
+            raise ValueError(f"group must be a string, got {self.group!r}")
         if not isinstance(self.tokens, int) or isinstance(self.tokens, bool):
             raise ValueError(f"token count must be an integer, got {self.tokens!r}")
         if self.tokens < 0:

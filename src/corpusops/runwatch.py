@@ -2,8 +2,9 @@
 
 Two independent views of a loss stream:
 
-* a robust local z-score per step (rolling median and windowed MAD, with
-  an epsilon floor so locally constant loss cannot divide by zero), and
+* a robust local z-score per step (rolling median and windowed MAD over
+  a fixed 1% of the declared total steps, with an epsilon floor so
+  locally constant loss cannot divide by zero), and
 * a deterministic dual-threshold sliding-window detector: a window of
   width ``w`` triggers iff its minimum exceeds the sustained floor
   ``t_min`` (persistence) and its maximum exceeds the severity peak
@@ -68,6 +69,7 @@ __all__ = [
 MAD_TO_SIGMA = 1.4826  # matches the standard deviation under normality
 MAD_FLOOR = 1e-8  # keeps a locally constant series from dividing by zero
 _SPIKE_Z = 5.0  # spike_score flags a z-score above this
+Z_WINDOW_FRACTION = 0.01  # spike-score window, as a share of the declared total steps
 
 
 class MetricPoint(NamedTuple):
@@ -100,7 +102,6 @@ class MonitorConfig:
     checkpoint_interval: int
     total_steps: int
     webhook: str | None = None
-    z_window_fraction: float = 0.01
     _endpoint: _Endpoint | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
@@ -115,7 +116,7 @@ class MonitorConfig:
     @property
     def z_window(self) -> int:
         """Spike-score window: a fraction of the declared total steps."""
-        return max(1, round(self.z_window_fraction * self.total_steps))
+        return max(1, round(Z_WINDOW_FRACTION * self.total_steps))
 
 
 def _median(ordered: list[float]) -> float:
@@ -206,16 +207,6 @@ class RollingMedianMad:
             self._catch_up()
         return _median(self._sorted_deviations)
 
-    def push_median(self, value: float) -> float:
-        """Append ``value``; return the rolling median m_t."""
-        self.append(value)
-        return self.median()
-
-    def push(self, value: float) -> tuple[float, float]:
-        """Append ``value``; return ``(m_t, mad_t)``."""
-        median = self.push_median(value)
-        return median, self.mad()
-
 
 def rolling_median_mad(series: Sequence[float], window: int) -> tuple[float, float]:
     """(m_t, mad_t) at the last point of ``series``.
@@ -241,8 +232,10 @@ def spike_score(series: Sequence[float], window: int) -> tuple[float, bool]:
 
     z_t = (y_t - m_t) / (1.4826 * max(mad_t, 1e-8)); the flag is
     ``z_t > 5``.  The floor removes the singularity on locally constant
-    series.
+    series.  Raises ``ValueError`` on an empty series.
     """
+    if not series:
+        raise ValueError("empty window")
     z = _robust_z(series[-1], *rolling_median_mad(series, window))
     return z, z > _SPIKE_Z
 
@@ -388,7 +381,6 @@ class _WebhookWorker:
         self.thread: threading.Thread | None = None
         self.closed = False
         self.overflowed = 0  # oldest events pushed out of a full queue
-        self.abandoned = 0  # events still queued when a post failed after the end
         self.final_failure: tuple[int, Exception] | None = None
 
     def put(self, event: MonitorEvent) -> None:
@@ -417,7 +409,6 @@ class _WebhookWorker:
                 with self.ready:
                     if self.closed:
                         self.final_failure = (event.step, exc)
-                        self.abandoned = len(self.queue)
                         return
                 _warn("webhook delivery failed for step %d: %s", event.step, exc)
 
@@ -428,7 +419,8 @@ class _WebhookWorker:
             self.closed = True
             self.ready.notify()
         self.thread.join()
-        if self.final_failure is not None and not self.abandoned:
+        abandoned = len(self.queue)  # still queued when a post failed after the end
+        if self.final_failure is not None and not abandoned:
             _warn(
                 "webhook delivery failed for step %d after the stream ended: %s",
                 *self.final_failure,
@@ -438,16 +430,16 @@ class _WebhookWorker:
             reasons.append(
                 f"{self.overflowed} oldest past the queue bound of {self.queue.maxlen}"
             )
-        if self.abandoned:
+        if abandoned:
             step, exc = self.final_failure
             reasons.append(
-                f"{self.abandoned} still queued when the post for step {step} "
+                f"{abandoned} still queued when the post for step {step} "
                 f"failed after the stream ended: {exc}"
             )
         if reasons:
             _warn(
                 "webhook delivery dropped %d events (%s)",
-                self.overflowed + self.abandoned,
+                self.overflowed + abandoned,
                 "; ".join(reasons),
             )
 
@@ -466,8 +458,9 @@ def run_monitor(
     """Evaluate both tiers over an ordered metric stream, yielding events.
 
     Each reading is any ``(step, value)`` pair: a plain tuple or a
-    :class:`MetricPoint`.  Steps must be strictly increasing and values
-    finite.  Alert events (tier 1) are emitted for every step whose alert
+    :class:`MetricPoint`.  Steps must be at least 0 and strictly increasing,
+    and values finite; a reading that breaks this raises ``ValueError`` when
+    it arrives.  Alert events (tier 1) are emitted for every step whose alert
     window satisfies both conditions; restart events (tier 2) are
     edge-triggered with hysteresis and carry the rollback step.  With a webhook, each event is queued for
     the delivery worker before it is yielded, and the generator returns
@@ -494,13 +487,15 @@ def run_monitor(
     alert_run = restart_run = 0  # trailing values above t_min
     alert_peak = restart_peak = -recent.maxlen  # index of the last value above t_max
     restart_armed = True
-    last_step: int | None = None
+    last_step = -1  # so a negative step fails the order check below
     webhook = _WebhookWorker(config._endpoint) if config._endpoint else None
 
     try:
         for index, point in enumerate(metrics):
             step, value = point
-            if last_step is not None and step <= last_step:
+            if step <= last_step:
+                if step < 0:
+                    raise ValueError(f"step must be >= 0, got {step}")
                 raise ValueError(
                     f"steps must be strictly increasing: {step} after {last_step}"
                 )

@@ -354,7 +354,6 @@ def _strongly_connected_components(
 
     index_of: dict[str, int] = {}
     lowlink: dict[str, int] = {}
-    on_stack: set[str] = set()
     stack: list[str] = []
     component_of: dict[str, int] = {}
     counter = 0
@@ -367,35 +366,29 @@ def _strongly_connected_components(
         index_of[root] = lowlink[root] = counter
         counter += 1
         stack.append(root)
-        on_stack.add(root)
         while work:
             node, neighbours = work[-1]
-            advanced = False
             for nxt in neighbours:
                 if nxt not in index_of:
                     index_of[nxt] = lowlink[nxt] = counter
                     counter += 1
                     stack.append(nxt)
-                    on_stack.add(nxt)
                     work.append((nxt, iter(adjacency[nxt])))
-                    advanced = True
                     break
-                if nxt in on_stack:
+                if nxt not in component_of:  # indexed, no component yet: on the stack
                     lowlink[node] = min(lowlink[node], index_of[nxt])
-            if advanced:
-                continue
-            work.pop()
-            if work:
-                parent = work[-1][0]
-                lowlink[parent] = min(lowlink[parent], lowlink[node])
-            if lowlink[node] == index_of[node]:
-                while True:
-                    member = stack.pop()
-                    on_stack.remove(member)
-                    component_of[member] = next_component
-                    if member == node:
-                        break
-                next_component += 1
+            else:  # every neighbour done: node is finished
+                work.pop()
+                if work:
+                    parent = work[-1][0]
+                    lowlink[parent] = min(lowlink[parent], lowlink[node])
+                if lowlink[node] == index_of[node]:
+                    while True:
+                        member = stack.pop()
+                        component_of[member] = next_component
+                        if member == node:
+                            break
+                    next_component += 1
     return component_of
 
 

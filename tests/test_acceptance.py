@@ -262,8 +262,7 @@ def test_criterion_6_monitor():
             alert=ALERT,
             restart=RESTART,
             checkpoint_interval=interval,
-            total_steps=600,
-            z_window_fraction=0.05,
+            total_steps=3000,
         )
         total_wide = total_narrow = 0
         for seed in range(50):
@@ -292,7 +291,8 @@ def test_criterion_6_monitor():
             reference = reference_spike_scores(values, config.z_window, MAD_FLOOR)
             tracker = RollingMedianMad(config.z_window)
             for t, value in enumerate(values):
-                median, mad = tracker.push(value)
+                tracker.append(value)
+                median, mad = tracker.median(), tracker.mad()
                 z = (value - median) / (MAD_TO_SIGMA * max(mad, MAD_FLOOR))
                 assert median == reference[t][0]
                 assert mad == reference[t][1]

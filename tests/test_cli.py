@@ -442,6 +442,8 @@ class TestMixCli:
             '{"group": "g", "tokens": "5", "bucket": "1"}',
             '{"group": "g", "tokens": true, "bucket": "1"}',
             '{"group": "g", "tokens": 2.9, "bucket": "1"}',
+            '{"group": 5, "tokens": 5, "bucket": "1"}',
+            '{"group": "cc-unique", "tokens": 7, "bucket": "1"}',
             "[1, 2]",
         ],
     )
@@ -670,6 +672,8 @@ class TestMonitorCli:
             '{"step": "5", "loss": 7.5}',
             '{"step": 5, "loss": false}',
             '{"step": 1055.5, "loss": 1}',
+            '{"step": -5, "loss": 1}',
+            '{"step": -1, "loss": 9.0}',
         ],
     )
     def test_bad_line_is_skipped_and_reported(self, garbage, monkeypatch, capsys):
@@ -690,6 +694,20 @@ class TestMonitorCli:
         stdin = "".join(f'{{"step": {r["step"] / 10}e1, "loss": {r["loss"]}}}\n' for r in rows)
         code, out, err = run_cli(self.ARGS, stdin, monkeypatch, capsys)
         assert (code, out, err) == (0, expected, "")
+
+    def test_negative_steps_are_skipped_and_reported(self, monkeypatch, capsys):
+        # Loss 9.0 fires both tiers, so an accepted negative step would reach
+        # rollback_step at the first restart, which refuses it.
+        args = ["monitor", "--total-steps", "100", "--alert", "3,2.6,3.0",
+                "--restart", "6,2.8,3.5", "--interval", "10"]
+        later = records(*({"step": i, "loss": 9.0} for i in range(20)))
+        _, expected, _ = run_cli(args, later, monkeypatch, capsys)
+        negative = records(*({"step": i, "loss": 9.0} for i in range(-20, 0)))
+        code, out, err = run_cli(args, negative + later, monkeypatch, capsys)
+        assert (code, out) == (0, expected)
+        assert err.splitlines() == [
+            f'line {n}: "step" must be >= 0, got {n - 21}' for n in range(1, 21)
+        ]
 
     def test_non_finite_losses_are_skipped_and_reported(self, monkeypatch, capsys):
         # NaN among the losses used to end in an IndexError traceback from
@@ -942,6 +960,8 @@ class TestBadFlags:
                      "argument --max-open: must be >= 1, got 0"),
         "not-a-number": (["dedup-exact", "--capacity", "1e3", "-i", "{input}"],
                          "argument --capacity: invalid int value: '1e3'"),
+        "target-tokens": (["mix", "--stats", "{input}", "--target-tokens", "-1"],
+                          "argument --target-tokens: must be >= 0, got -1"),
         "near-seed": (["dedup-near", "--seed", "-1", "-i", "{input}"],
                       "argument --seed: must be >= 0, got -1"),
         "perms": (["dedup-near", "--perms", "0", "-i", "{input}"],

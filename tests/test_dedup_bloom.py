@@ -37,8 +37,8 @@ class TestBloomFilter:
 
     def test_add_if_new(self):
         bloom = BloomFilter(BloomConfig(capacity=100, target_fpr=0.01))
-        assert bloom.add_if_new(b"x") is True
-        assert bloom.add_if_new(b"x") is False
+        assert bloom.add(b"x") is True
+        assert bloom.add(b"x") is False
         assert bloom.inserted == 1
 
     def test_false_positive_rate_near_target(self):

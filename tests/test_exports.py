@@ -1,5 +1,6 @@
 import ast
 import importlib
+import inspect
 import pkgutil
 from pathlib import Path
 
@@ -39,20 +40,45 @@ def test_every_lazy_dedup_name_resolves(name):
     assert getattr(submodule, name) is getattr(corpusops.dedup, name)
 
 
-BENCH_WORKLOADS = Path(__file__).resolve().parents[1] / "bench" / "workloads.py"
+BENCH = Path(__file__).resolve().parents[1] / "bench"
+
+
+def _literals(tree: ast.Module) -> dict:
+    """Module-level names a bench file binds to literals."""
+    found = {}
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and isinstance(node.targets[0], ast.Name):
+            try:
+                found[node.targets[0].id] = ast.literal_eval(node.value)
+            except ValueError:
+                pass
+    return found
 
 
 def test_every_benchmark_lookup_resolves():
     # The traced benchmark drops a layer's metrics when a name it looks up
-    # is gone, so a renamed or deleted library name fails here instead.
-    tree = ast.parse(BENCH_WORKLOADS.read_text(encoding="utf-8"))
-    wanted, near_config = [], None
+    # is gone, or a config it builds refuses its arguments, so a renamed or
+    # deleted library name or field fails here instead.
+    from corpusops.dedup import BloomConfig, NearDupConfig
+    from corpusops.packing import PackInput
+    from corpusops.runwatch import DetectorTier, MonitorConfig
+    from corpusops.transforms import FimConfig
+
+    classes = {cls.__name__: cls for cls in (
+        BloomConfig, DetectorTier, FimConfig, MonitorConfig, NearDupConfig, PackInput
+    )}
+    tree = ast.parse((BENCH / "workloads.py").read_text(encoding="utf-8"))
+    wanted, built = [], set()
     for node in ast.walk(tree):
-        if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "lookup":
+        name = getattr(node.func, "id", None) if isinstance(node, ast.Call) else None
+        if name == "lookup":
             module, *names = (ast.literal_eval(arg) for arg in node.args)
             wanted += [(module, name) for name in names]
-        elif isinstance(node, ast.Assign) and getattr(node.targets[0], "id", None) == "NEAR_CONFIG":
-            near_config = ast.literal_eval(node.value)
+        elif name in classes:
+            # Every keyword the traced run passes is a field of the class.
+            keywords = {k.arg: None for k in node.keywords if k.arg is not None}
+            inspect.signature(classes[name]).bind_partial(**keywords)
+            built.add(name)
     assert len(wanted) >= 20
     missing = [
         f"{module}.{name}"
@@ -60,5 +86,19 @@ def test_every_benchmark_lookup_resolves():
         if not hasattr(importlib.import_module(module), name)
     ]
     assert missing == []
-    config = corpusops.dedup.NearDupConfig(**near_config)
+    assert built == set(classes)
+
+    # Each config as the traced run builds it, from the bench's own values.
+    work = _literals(tree)
+    gen = _literals(ast.parse((BENCH / "gen.py").read_text(encoding="utf-8")))
+    config = NearDupConfig(**work["NEAR_CONFIG"])
     assert config.shingle_size == 13
+    monitor = MonitorConfig(
+        alert=DetectorTier("alert", *gen["ALERT"]), restart=DetectorTier("restart", *gen["RESTART"]),
+        checkpoint_interval=gen["CHECKPOINT_INTERVAL"], total_steps=gen["LOSS_POINTS"],
+        webhook="http://127.0.0.1:8000/events",
+    )
+    assert monitor.z_window == gen["LOSS_POINTS"] // 100
+    FimConfig(rng_seed=work["FIM_SEED"], mode_psm_probability=0.5)
+    BloomConfig(capacity=1_000, target_fpr=work["FPR"])
+    PackInput(id="d0", length=1)

@@ -40,7 +40,6 @@ def config(**overrides):
         restart=RESTART,
         checkpoint_interval=500,
         total_steps=1000,
-        z_window_fraction=0.01,
     )
     defaults.update(overrides)
     return MonitorConfig(**defaults)
@@ -90,11 +89,14 @@ class TestRollingMedianMad:
         reference = reference_spike_scores(series, window, mad_floor=1e-8)
         tracker = RollingMedianMad(window)
         for t, value in enumerate(series):
-            assert tracker.push_median(value) == reference[t][0]
+            tracker.append(value)
+            assert tracker.median() == reference[t][0]
             if t in reads:
                 assert tracker.mad() == reference[t][1]
         assert tracker.mad() == reference[-1][1]
-        assert tracker.push(0.5) == reference_spike_scores(series + [0.5], window, 1e-8)[-1][:2]
+        tracker.append(0.5)
+        expected = reference_spike_scores(series + [0.5], window, 1e-8)[-1][:2]
+        assert (tracker.median(), tracker.mad()) == expected
 
     def test_mad_before_any_push_errors(self):
         with pytest.raises(ValueError, match="empty window"):
@@ -151,7 +153,7 @@ class TestRollingMedianMad:
         # Sparse firing with a small z window: reads come after gaps longer
         # than 2 * window.
         points = stream(values)
-        cfg = config(total_steps=window, z_window_fraction=1.0)
+        cfg = config(total_steps=100 * window)
         expected = [repr(e.to_json()) for e in reference_monitor_events(points, cfg)]
         plain = [(p.step, p.value) for p in points]
         assert [repr(e.to_json()) for e in run_monitor(plain, cfg)] == expected
@@ -188,7 +190,7 @@ class TestLazyMadWork:
     @staticmethod
     def series_and_config(values, window):
         points = stream(values)
-        cfg = config(total_steps=window, z_window_fraction=1.0)
+        cfg = config(total_steps=100 * window)
         assert cfg.z_window == window
         return points, cfg
 
@@ -318,6 +320,10 @@ class TestSpikeScore:
                 flagged_steps.append(t)
         assert flagged_steps == [200]
 
+    def test_empty_series_errors(self):
+        with pytest.raises(ValueError, match="empty window"):
+            spike_score([], window=3)
+
 
 class TestDetect:
     def test_persistence_fails(self):
@@ -409,6 +415,13 @@ class TestRunMonitor:
         points = [MetricPoint(0, 1.0), MetricPoint(0, 1.0)]
         with pytest.raises(ValueError):
             list(run_monitor(points, config()))
+
+    def test_negative_step_rejected_when_it_arrives(self):
+        # Loss 9.0 fires both tiers, so an alert would come out before the
+        # first restart's rollback step could refuse the negative step.
+        events = run_monitor(stream([9.0] * 20, start=-20), config(checkpoint_interval=10))
+        with pytest.raises(ValueError, match="step must be >= 0, got -20"):
+            next(events)
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_non_finite_value_rejected(self, bad):
