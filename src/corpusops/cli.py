@@ -33,13 +33,14 @@ import sys
 from contextlib import contextmanager, nullcontext
 from dataclasses import asdict, replace
 from functools import partial
-from typing import IO, Any, Callable, Iterator, NamedTuple
+from typing import IO, Any, Callable, Iterator
 
 from corpusops import __version__
 from corpusops.corpus import (
     Document,
     SourceClass,
     decode_line,
+    document_to_json,
     line_id,
     parse_record,
     read_rows,
@@ -227,27 +228,26 @@ _UNIT = _checked(float, lambda x: 0 <= x <= 1, "in [0, 1]")
 # dedup
 
 
-class _Read(NamedTuple):
-    """A parsed record's text, and what a filter writes if it keeps it."""
-
-    text: str
-    record: Document | str
-
-
 def cmd_dedup_exact(args: argparse.Namespace) -> int:
-    from corpusops.dedup import BloomConfig, exact_dedup
+    from corpusops._split import split_rows
+    from corpusops.dedup.bloom import BloomConfig, content_digest, first_occurrences
 
     # A kept record is written as read, but one named by its line number
     # is encoded, so that its id survives the lines dropped before it.
-    def parse(line: str, line_number: int) -> _Read:
+    def parse(line: str, line_number: int) -> tuple[bytes, str]:
         doc = parse_record(line, line_number)
-        return _Read(doc.text, doc if doc.id == line_id(line_number) else line)
+        if doc.id == line_id(line_number):
+            line = json.dumps(document_to_json(doc), ensure_ascii=False)
+        return content_digest(doc.text), line
 
     config = BloomConfig(capacity=args.capacity, target_fpr=args.fpr)
-    with _open_in(args.input) as src, _open_out(args.output) as dst:
-        rows = read_rows(src, parse, on_error=_report_bad_line)
-        kept, stats = exact_dedup(rows, config)
-        write_records((row.record for row in kept), dst)
+    with (
+        _open_in(args.input) as src,
+        split_rows(src, parse, _report_bad_line) as rows,
+        _open_out(args.output) as dst,
+    ):
+        kept, stats = first_occurrences(rows, config)
+        write_records(kept, dst)
     inserted = stats.seen - stats.dropped
     if inserted > config.capacity:
         print(
@@ -408,6 +408,7 @@ def cmd_transform_fim(args: argparse.Namespace) -> int:
 
 
 def cmd_transform_topo(args: argparse.Namespace) -> int:
+    from corpusops._split import split_rows
     from corpusops.transforms import RepoFile, build_dep_graph, concat_repo, topo_order
 
     # Input rows: {"repo": name, "files": [{"path":..., "text":...}, ...]}
@@ -417,14 +418,15 @@ def cmd_transform_topo(args: argparse.Namespace) -> int:
             raise ValueError('"path" and "text" of a file must be strings')
         return RepoFile(path, text)
 
-    def concat(row: dict) -> dict:
+    def concat(row: dict) -> str:
         files = [repo_file(f) for f in row["files"]]
         order = topo_order(build_dep_graph(files), [f.path for f in files])
         by_path = {f.path: f for f in files}
-        return {
-            "id": str(row["repo"]),
+        repo = row["repo"]  # a non-string is named by its JSON text, as an id is
+        return json.dumps({
+            "id": repo if isinstance(repo, str) else json.dumps(repo, ensure_ascii=False),
             "text": concat_repo([by_path[p] for p in order]),
-        }
+        }, ensure_ascii=False) + "\n"
 
     def load(line: str, line_number: int) -> Any:
         # A row without "repo", or with a null one, is named by its line,
@@ -435,9 +437,12 @@ def cmd_transform_topo(args: argparse.Namespace) -> int:
         return row
 
     parse = _row_parser(concat, '"files" of {"path", "text"} objects', load=load)
-    with _open_in(args.input) as src, _open_out(args.output) as dst:
-        for row in read_rows(src, parse, on_error=_report_bad_line):
-            _emit(row, dst)
+    with (
+        _open_in(args.input) as src,
+        split_rows(src, parse, _report_bad_line) as rows,
+        _open_out(args.output) as dst,
+    ):
+        dst.writelines(rows)
     return 0
 
 
@@ -486,16 +491,19 @@ def _length_counter(counter: str) -> Callable[[Document], int]:
 
 
 def cmd_pack(args: argparse.Namespace) -> int:
+    from corpusops._split import split_rows
     from corpusops.packing import PackInput, pack_online
 
     # PackInput rejects an empty document (length 0) like any bad record.
-    def parse(line: str, line_number: int) -> PackInput:
+    def parse(line: str, line_number: int) -> tuple[str, int]:
         doc = parse_record(line, line_number)
-        return PackInput(id=doc.id, length=args.count_with(doc))
+        item = PackInput(id=doc.id, length=args.count_with(doc))
+        return item.id, item.length
 
-    with _open_in(args.input) as src:
-        rows = read_rows(src, parse, on_error=_report_bad_line)
-        sequences, stats = pack_online(rows, args.capacity, args.max_open)
+    with _open_in(args.input) as src, split_rows(src, parse, _report_bad_line) as rows:
+        sequences, stats = pack_online(
+            (PackInput(*row) for row in rows), args.capacity, args.max_open
+        )
         with _open_out(args.output) as dst:
             for seq in sequences:
                 entries = [{"id": i, "len": n} for i, n in seq.entries]

@@ -13,6 +13,7 @@ curation runs over very large corpora must be fault-tolerant.
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import IO, Any, Callable, Iterable, Iterator, TypeVar
@@ -36,6 +37,9 @@ _KNOWN_KEYS = ("id", "text", "source_class", "dup_count", "curated", "timestamp"
 
 _LINE_ENDS = ("\n", "\r\n")
 _scan_once = json.JSONDecoder().scan_once
+# A JSON escape of a UTF-16 surrogate, the only escape that can decode to
+# a lone one; an escaped backslash before "ud800" also matches.
+_SURROGATE_ESCAPE = re.compile(r"\\u[dD][89a-fA-F]")
 
 Row = TypeVar("Row")
 
@@ -152,12 +156,13 @@ def parse_record(line: str, line_number: int) -> Document:
         raise ValueError('"dup_count" must be an integer')
 
     # id is recognized but optional on the wire; synthesize a per-shard
-    # unique one from the line number when absent or null.
+    # unique one from the line number when absent or null.  Any other
+    # non-string id is named by its JSON text: true is "true", not "True".
     doc_id = obj.get("id")
     if doc_id is None:
         doc_id = line_id(line_number)
     elif not isinstance(doc_id, str):
-        doc_id = str(doc_id)
+        doc_id = json.dumps(doc_id, ensure_ascii=False)
 
     curated = obj.get("curated", False)
     if not isinstance(curated, bool):
@@ -214,27 +219,31 @@ def read_rows(
     stream: IO[str] | Iterable[str],
     parse: Callable[[str, int], Row],
     on_error: Callable[[RecordError], None] | None = None,
+    first_line: int = 1,
 ) -> Iterator[Row]:
     """Yield ``parse(line, line_number)`` per non-blank input line, in order.
 
-    A line whose parse raises ``ValueError`` (bad JSON included, and JSON
+    Lines are numbered from ``first_line``, the number of the stream's
+    first line in the whole input.  A line whose parse raises
+    ``ValueError`` (bad JSON included, and JSON
     nested too deeply to decode) is passed to ``on_error`` as
-    :class:`RecordError` with its 1-based line number; reading then
+    :class:`RecordError` with its line number; reading then
     continues with the next line.  So is a line that is not
     valid UTF-8: a stream decoded with ``errors="surrogateescape"`` turns
     each invalid byte into a lone surrogate, which UTF-8 cannot encode.
     So is a line whose JSON escapes (``"\\ud800"``) decode to a lone
-    surrogate in any field; only lines containing ``\\u`` pay for that
-    check, and it runs before ``parse`` sees the line.
+    surrogate in any field; only lines with an escape of a surrogate
+    (``\\uD800`` to ``\\uDFFF``, pairs included) pay for that check, and
+    it runs before ``parse`` sees the line.
     The default handler logs a warning.
     """
-    for line_number, line in enumerate(stream, start=1):
+    for line_number, line in enumerate(stream, start=first_line):
         if not line.strip():
             continue
         try:
             if not line.isascii():
                 _check_utf8(line)
-            if "\\u" in line:
+            if "\\u" in line and _SURROGATE_ESCAPE.search(line):
                 _check_escapes(line)
             yield parse(line, line_number)
         except ValueError as exc:

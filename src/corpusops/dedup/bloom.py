@@ -31,6 +31,7 @@ class _Texted(Protocol):
 
 
 _T = TypeVar("_T", bound=_Texted)
+_V = TypeVar("_V")
 
 
 @dataclass(frozen=True)
@@ -123,6 +124,30 @@ def content_digest(text: str) -> bytes:
     return blake2b(normalize(text).encode("utf-8"), digest_size=16).digest()
 
 
+def first_occurrences(
+    keyed: Iterable[tuple[bytes, _V]], config: BloomConfig
+) -> tuple[Iterator[_V], DedupStats]:
+    """Keep the value of each ``(digest, value)`` pair whose digest is new.
+
+    The pass behind :func:`exact_dedup`, for a caller that computes the
+    digests itself (the CLI does, in worker processes).  Returns a lazy
+    kept-value iterator plus live stats, as :func:`exact_dedup` does.
+    """
+    stats = DedupStats()
+    bloom = BloomFilter(config)
+
+    def generate() -> Iterator[_V]:
+        for digest, value in keyed:
+            stats.seen += 1
+            if bloom.add(digest):
+                yield value
+            else:
+                stats.dropped += 1
+        stats.live_fpr = bloom.live_fpr
+
+    return generate(), stats
+
+
 def exact_dedup(
     documents: Iterable[_T], config: BloomConfig
 ) -> tuple[Iterator[_T], DedupStats]:
@@ -134,16 +159,4 @@ def exact_dedup(
     ``stats.live_fpr`` are final only after the iterator is exhausted.
     Memory usage is the Bloom bit array, constant in stream length.
     """
-    stats = DedupStats()
-    bloom = BloomFilter(config)
-
-    def generate() -> Iterator[_T]:
-        for doc in documents:
-            stats.seen += 1
-            if bloom.add(content_digest(doc.text)):
-                yield doc
-            else:
-                stats.dropped += 1
-        stats.live_fpr = bloom.live_fpr
-
-    return generate(), stats
+    return first_occurrences(((content_digest(doc.text), doc) for doc in documents), config)

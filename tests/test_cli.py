@@ -4,6 +4,7 @@ import os
 import random
 import subprocess
 import sys
+import tempfile
 import tracemalloc
 
 import pytest
@@ -413,6 +414,225 @@ class TestDedupNearTwoPasses:
         assert (peak(large) - peak(small)) / (large - small) <= 800
 
 
+def split_corpus(rng: random.Random) -> bytes:
+    """Input for every command that splits, with each line shape a cut can land next to.
+
+    A record carries "text" for dedup-exact and pack and "repo" and
+    "files" for transform topo.  Between records come runs of blank lines,
+    CRLF line ends, a lone CR as JSON whitespace, malformed lines and
+    invalid UTF-8; the last line often has no line end.
+    """
+    texts = [" ".join(random_words(rng, rng.randint(1, 8))) for _ in range(3)] + ["é ü", ""]
+    files = [{"path": "a.py", "text": "import b\n"}, {"path": "b.py", "text": "B = 1\n"}]
+    lines = []
+    for _ in range(rng.randint(0, 30)):
+        shape = rng.randrange(8)
+        if shape == 0:
+            lines.append(rng.choice([b"\n", b"  \n", b"\r\n"]) * rng.randint(1, 4))
+        elif shape == 1:
+            lines.append(rng.choice([b"not json\n", b"[1, 2]\n", b'{"text": 5, "files": []}\n',
+                                     b'{"repo": "r", "files": [{"path": 5, "text": "x"}]}\n']))
+        elif shape == 2:
+            lines.append(b'{"text": "bad \xff byte", "files": []}\n')
+        else:
+            record = {"text": rng.choice(texts), "files": rng.sample(files, len(files))}
+            for key, values in (("id", [None, 7, True, "a", "é"]), ("repo", [None, 5, "r"])):
+                if rng.random() < 0.7:
+                    record[key] = rng.choice(values)
+            line = json.dumps(record, ensure_ascii=rng.random() < 0.5)
+            if rng.random() < 0.1:
+                line = line.replace(", ", ",\r", 1)
+            lines.append((line + rng.choice(["\n", "\n", "\r\n"])).encode())
+    data = b"".join(lines)
+    return data.rstrip(b"\r\n") if rng.random() < 0.5 else data
+
+
+def cut_starts(data: bytes, parts: int) -> list[int]:
+    """Where each range after the first starts: the first line start at or
+    after each share of the bytes, by a scan of every offset."""
+    starts = []
+    for k in range(1, parts):
+        target = len(data) * k // parts
+        cut = next((i for i in range(max(target, 1), len(data)) if data[i - 1] == 10), None)
+        if cut is not None and cut not in starts:
+            starts.append(cut)
+    return starts
+
+
+# Runs a command in a fresh interpreter, where nothing but the command
+# forks, with the worker count forced by the CPU count and MIN_RANGE_BYTES.
+# Each run reports [exit code, stdout, stderr, forks, whether a child is
+# left, where a stdin file was left].
+SPLIT_RUN = r"""
+import io, json, os, sys
+from corpusops import _split, cli
+
+_split.MIN_RANGE_BYTES = 1
+_split._SCAN_BYTES = int(sys.argv[2])  # the cut scan crosses its chunks
+forks = []
+fork = os.fork
+
+def counted_fork():
+    forks.append(None)
+    return fork()
+
+os.fork = counted_fork
+
+def run(argv, cpus, stdin):
+    os.sched_getaffinity = lambda pid: set(range(cpus))
+    sys.stdin, sys.stdout, sys.stderr = stdin, io.StringIO(), io.StringIO()
+    forks.clear()
+    try:
+        code = cli.main(argv)
+        out, err = sys.stdout.getvalue(), sys.stderr.getvalue()
+        offset = stdin.buffer.tell() if hasattr(stdin, "buffer") else None
+    finally:
+        sys.stdin, sys.stdout, sys.stderr = sys.__stdin__, sys.__stdout__, sys.__stderr__
+        stdin.close()
+    try:
+        os.waitpid(-1, os.WNOHANG)
+        left = True
+    except ChildProcessError:
+        left = False
+    return [code, out, err, len(forks), left, offset]
+
+path = sys.argv[1]
+with open(path, "rb") as handle:
+    text = handle.read().decode("utf-8", "surrogateescape")
+results = {}
+for name, argv in json.loads(sys.argv[3]).items():
+    results[name] = {"stdin": run(argv, 3, io.StringIO(text))}
+    for cpus in (1, 2, 3):
+        results[name][f"-i, {cpus}"] = run([*argv, "-i", path], cpus, io.StringIO())
+    redirected = open(path, encoding="utf-8", errors="strict", newline="\n")
+    results[name]["<, 3"] = run(argv, 3, redirected)
+print(json.dumps(results))
+"""
+
+
+class TestSplitInput:
+    """transform topo, dedup-exact and pack over byte ranges in forked workers."""
+
+    COMMANDS = {
+        "topo": ["transform", "topo"],
+        "exact": ["dedup-exact", "--capacity", "100"],
+        "pack": ["pack", "--capacity", "12", "--max-open", "2"],
+    }
+
+    @given(rng=st.randoms(use_true_random=False), scan=st.integers(1, 64))
+    @settings(max_examples=20, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_any_worker_count_matches_one_worker_and_stdin(self, rng, scan, tmp_path):
+        data = split_corpus(rng)
+        path = tmp_path / "in.jsonl"
+        path.write_bytes(data)
+        proc = run_python("-c", SPLIT_RUN, str(path), str(scan), json.dumps(self.COMMANDS),
+                          text=True)
+        assert proc.returncode == 0, proc.stderr
+        for name, runs in json.loads(proc.stdout).items():
+            one = runs["-i, 1"]
+            assert one[0] == 0 and one[3] == 0, (name, one)
+            for way, (code, out, err, forks, left, offset) in runs.items():
+                assert (code, out, err) == tuple(one[:3]), (name, way)
+                assert not left, (name, way)
+                assert offset == (len(data) if way.startswith("<") else None), (name, way)
+                cpus = 1 if way in ("stdin", "-i, 1") else int(way[-1])
+                assert forks == len(cut_starts(data, cpus)) * (way != "stdin"), (name, way)
+
+    @given(data=st.lists(st.sampled_from([b"\n", b"\r\n", b"x", b"\xff", b"{}"]), max_size=40),
+           parts=st.integers(1, 4), scan=st.integers(1, 16), offset=st.integers(0, 8))
+    @settings(max_examples=200, deadline=None)
+    def test_ranges_start_at_line_starts_with_their_line_numbers(self, data, parts, scan, offset):
+        from corpusops import _split
+
+        data = b"".join(data)
+        offset = min(offset, len(data))
+        with tempfile.TemporaryFile("w+", encoding="utf-8", newline="\n") as src:
+            src.buffer.write(data)
+            src.buffer.flush()
+            src.seek(offset)
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(_split, "MIN_RANGE_BYTES", 1)
+                patch.setattr(_split, "_SCAN_BYTES", scan)
+                patch.setattr(os, "sched_getaffinity", lambda pid: set(range(parts)))
+                ranges = _split._worker_ranges(src)
+        rest = data[offset:]
+        starts = [offset + cut for cut in cut_starts(rest, parts)]
+        assert [start for start, _, _ in ranges] == starts
+        assert [end for _, end, _ in ranges] == [*starts[1:], len(data)][: len(ranges)]
+        assert [first for _, _, first in ranges] == [
+            1 + data.count(b"\n", offset, start) for start in starts
+        ]
+
+    # 1,200 repository rows, about 140 kB.
+    REPOS = records(*(
+        {"repo": f"r{i}", "files": [{"path": "a.py", "text": "import b\n"},
+                                    {"path": "b.py", "text": f"B = {i}\n"}]}
+        for i in range(1200)
+    ))
+
+    def test_a_failed_worker_fails_the_command_and_no_child_is_left(self, tmp_path):
+        path = tmp_path / "repos.jsonl"
+        path.write_text(self.REPOS)
+        # The worker's parse raises, then kills the worker, then the main
+        # process's parse raises.
+        proc = run_python("-c", (
+            "import os, signal, sys\n"
+            "from corpusops import _split, cli\n"
+            "import corpusops.transforms as transforms\n"
+            "_split.MIN_RANGE_BYTES = 1\n"
+            "os.sched_getaffinity = lambda pid: {0, 1}\n"
+            "main = os.getpid()\n"
+            "def failing(in_worker, fail):\n"
+            "    def concat_repo(files):\n"
+            "        if (os.getpid() != main) == in_worker:\n"
+            "            fail()\n"
+            "        return ''\n"
+            "    return concat_repo\n"
+            "def boom():\n"
+            "    raise RuntimeError('no concat here')\n"
+            "argv = ['transform', 'topo', '-i', sys.argv[1], '-o', os.devnull]\n"
+            "for in_worker, fail in [(True, boom), (True, lambda: os.kill(os.getpid(), 9)),\n"
+            "                        (False, boom)]:\n"
+            "    transforms.concat_repo = failing(in_worker, fail)\n"
+            "    try:\n"
+            "        print(cli.main(argv))\n"
+            "    except RuntimeError as exc:\n"
+            "        print(exc)\n"
+            "    try:\n"
+            "        os.waitpid(-1, os.WNOHANG)\n"
+            "    except ChildProcessError:\n"
+            "        print('no child left')\n"
+        ), str(path), text=True)
+        assert proc.returncode == 0, proc.stderr
+        first = 1 + self.REPOS.encode().count(b"\n", 0, cut_starts(self.REPOS.encode(), 2)[0])
+        assert proc.stdout.splitlines() == [
+            "2", "no child left", "2", "no child left", "no concat here", "no child left"
+        ]
+        assert proc.stderr.splitlines() == [
+            f"error: the worker from line {first} failed: RuntimeError: no concat here",
+            f"error: the worker from line {first} failed: killed by signal 9",
+        ]
+
+    def test_text_written_before_the_fork_appears_once(self, tmp_path):
+        path = tmp_path / "repos.jsonl"
+        path.write_text(self.REPOS)
+        proc = run_python("-c", (
+            "import os, sys\n"
+            "from corpusops import _split, cli\n"
+            "_split.MIN_RANGE_BYTES = 1\n"
+            "os.sched_getaffinity = lambda pid: {0, 1, 2}\n"
+            "print('before')\n"
+            "print('before, on stderr', file=sys.stderr)\n"
+            "sys.exit(cli.main(['transform', 'topo', '-i', sys.argv[1]]))\n"
+        ), str(path), text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stderr == "before, on stderr\n"
+        lines = proc.stdout.splitlines()
+        assert lines[0] == "before" and proc.stdout.count("before") == 1
+        assert [json.loads(line)["id"] for line in lines[1:]] == [f"r{i}" for i in range(1200)]
+
+
 class TestMixCli:
     def test_manifest_records_and_quota(self, tmp_path, monkeypatch, capsys):
         stats = tmp_path / "groups.jsonl"
@@ -538,14 +758,18 @@ class TestTransformCli:
         files = [{"path": "a.py", "text": "A = 1\n"}]
         stdin = records({"files": files}, {"repo": 5, "files": files},
                         {"files": files}, {"repo": "r", "files": files},
-                        {"repo": None, "files": files})
+                        {"repo": None, "files": files}, {"repo": True, "files": files},
+                        {"repo": ["x", "é"], "files": files})
         code, out, _ = run_cli(["transform", "topo"], stdin, monkeypatch, capsys)
         assert code == 0
-        assert [row["id"] for row in parse_lines(out)] == ["line-1", "5", "line-3", "r", "line-5"]
+        # A non-string repo is named by its JSON text, as parse_record names an id.
+        assert [row["id"] for row in parse_lines(out)] == [
+            "line-1", "5", "line-3", "r", "line-5", "true", '["x", "é"]'
+        ]
         # Unique ids let the rows go on through near dedup.
         code, _, err = run_cli(["dedup-near"], out, monkeypatch, capsys)
         assert code == 0, err
-        assert json.loads(err.splitlines()[-1])["documents"] == 5
+        assert json.loads(err.splitlines()[-1])["documents"] == 7
 
     def test_qa_appends_pairs(self, monkeypatch, capsys):
         stdin = records(

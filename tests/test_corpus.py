@@ -5,12 +5,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from corpusops import corpus
 from corpusops.corpus import (
     Document,
     RecordWriteError,
     SourceClass,
     decode_line,
     read_records,
+    read_rows,
     word_count,
     write_records,
 )
@@ -59,6 +61,22 @@ class TestReadRecords:
         docs = read_all('{"text":"x"}\n\n{"text":"y"}\n{"id":null,"text":"z"}\n')
         assert [d.id for d in docs] == ["line-1", "line-3", "line-4"]
 
+    @pytest.mark.parametrize(
+        "wire, doc_id",
+        [("7", "7"), ("1.5", "1.5"), ("-0.0", "-0.0"), ("1e300", "1e+300"), ("true", "true"),
+         ("false", "false"), ('["x"]', '["x"]'), ('{"k": "\\u00e9"}', '{"k": "é"}')],
+    )
+    def test_non_string_id_is_named_by_its_json_text(self, wire, doc_id):
+        docs = read_all(f'{{"id": {wire}, "text": "x"}}\n')
+        assert [d.id for d in docs] == [doc_id]
+
+    def test_first_line_numbers_lines_and_reports(self):
+        errors = []
+        docs = list(read_rows(io.StringIO('{"text":"x"}\nnot json\n\n{"text":"y"}\n'),
+                              corpus.parse_record, errors.append, first_line=41))
+        assert [d.id for d in docs] == ["line-41", "line-44"]
+        assert [e.line_number for e in errors] == [42]
+
     def test_unknown_keys_preserved_in_extra(self):
         docs = read_all('{"id":"a","text":"x","meta":{"src":"cc"},"lang":"en"}\n')
         assert docs[0].extra == {"meta": {"src": "cc"}, "lang": "en"}
@@ -83,6 +101,40 @@ class TestReadRecords:
         assert [(e.line_number, e.message) for e in errors] == [
             (1, '"curated" must be true or false')
         ]
+
+
+class TestSurrogateEscapeCheck:
+    """Only a line with a JSON escape of a surrogate is decoded twice."""
+
+    def decodes(self, monkeypatch, line):
+        calls = []
+
+        def counted(text):
+            calls.append(text)
+            return decode_line(text)
+
+        monkeypatch.setattr(corpus, "decode_line", counted)
+        errors = []
+        docs = list(read_records(io.StringIO(line), on_error=errors.append))
+        return len(calls), docs, errors
+
+    def test_an_escaped_accent_is_decoded_once(self, monkeypatch):
+        count, docs, errors = self.decodes(monkeypatch, '{"id": "a", "text": "caf\\u00e9"}\n')
+        assert (count, [d.text for d in docs], errors) == (1, ["café"], [])
+
+    def test_an_escaped_surrogate_pair_is_checked_and_kept(self, monkeypatch):
+        count, docs, errors = self.decodes(monkeypatch, '{"id": "a", "text": "\\ud83d\\ude00"}\n')
+        assert (count, [d.text for d in docs], errors) == (2, ["\U0001f600"], [])
+
+    def test_an_escaped_backslash_before_ud800_is_checked_and_kept(self, monkeypatch):
+        count, docs, errors = self.decodes(monkeypatch, '{"id": "a", "text": "\\\\uD800"}\n')
+        assert (count, [d.text for d in docs], errors) == (2, ["\\uD800"], [])
+
+    def test_a_lone_surrogate_is_still_reported(self, monkeypatch):
+        count, docs, errors = self.decodes(monkeypatch, '{"id": "a", "text": "\\uDBff"}\n')
+        assert (count, docs) == (1, [])
+        assert [e.line_number for e in errors] == [1]
+        assert "cannot be encoded as UTF-8" in errors[0].message
 
 
 class TestWriteRecords:
