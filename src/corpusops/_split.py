@@ -1,19 +1,19 @@
 """One record stream, parsed over byte ranges of the input in forked workers.
 
 A command whose records need no other record (``transform topo``,
-``dedup-exact``, ``pack``) reads its input through :func:`split_rows`.  A
-large regular file is cut at line starts into one byte range per worker;
-the main process parses the first range and a forked child each other one.
-The command sees every range's rows, and every bad line's report, in input
-order, so whatever depends on stream order stays in the main process.  Any
-other input is one range, parsed by the main process alone.
+``transform qa``, ``dedup-exact``, ``pack``) reads its input through
+:func:`split_rows`.  A large regular file is cut at line starts into one
+byte range per worker; the main process parses the first range and a
+forked child each other one.  The command sees every range's rows, and
+every bad line's report, in input order, so whatever depends on stream
+order stays in the main process.  Any other input is one range, parsed by
+the main process alone.
 
 The CLI imports this module only when a command that splits starts.
 """
 
 from __future__ import annotations
 
-import codecs
 import io
 import marshal
 import os
@@ -23,7 +23,7 @@ from contextlib import contextmanager, suppress
 from itertools import chain, islice
 from typing import IO, Any, Callable, Iterator, NoReturn
 
-from corpusops.corpus import RecordError, read_rows
+from corpusops.corpus import _INPUT_TEXT, RecordError, read_rows
 
 # At most _MAX_WORKERS workers: one per CPU the process may run on, and one
 # per MIN_RANGE_BYTES of input.  4 MiB keeps the benchmark's 2.8-2.9 MB
@@ -47,11 +47,11 @@ def _worker_ranges(src: IO[str]) -> list[tuple[int, int, int]]:
     """(first byte, end byte, first line number) of each range but the first.
 
     Empty, so that the whole input is one range, unless ``src`` is a
-    regular file read as UTF-8 (``-i file`` or ``< file``) with room for
-    two workers.  The ranges start at the stream's current offset, where a
-    reread of ``< file`` starts too, and the first range is left to
-    ``src``.  One binary read places the cuts and counts the lines before
-    each; it stops at the last cut.
+    regular file (``-i file`` or ``< file``) with room for two workers.
+    The ranges start at the stream's current offset, where a reread of
+    ``< file`` starts too, and the first range is left to ``src``.  One
+    binary read places the cuts and counts the lines before each; it stops
+    at the last cut.
     """
     try:
         fd = src.fileno()
@@ -59,7 +59,7 @@ def _worker_ranges(src: IO[str]) -> list[tuple[int, int, int]]:
         start = src.tell()
     except (AttributeError, OSError, ValueError):  # no descriptor, or a pipe
         return []
-    if not stat.S_ISREG(status.st_mode) or codecs.lookup(src.encoding).name != "utf-8":
+    if not stat.S_ISREG(status.st_mode):
         return []
     size = status.st_size
     parts = _worker_count(size - start)
@@ -127,12 +127,8 @@ def _work(
             results.write(frame)
 
         start, end, first = span
-        # Decoded as the CLI opens an input: invalid bytes surrogate-escaped,
-        # lines ended at "\n" alone.
-        with io.TextIOWrapper(
-            io.BufferedReader(_ByteRange(fd, start, end)),
-            encoding="utf-8", errors="surrogateescape", newline="\n",
-        ) as lines:
+        raw = io.BufferedReader(_ByteRange(fd, start, end))
+        with io.TextIOWrapper(raw, **_INPUT_TEXT) as lines:
             on_error = lambda err: put(err.line_number, err.message)  # noqa: E731
             for row in read_rows(lines, parse, on_error, first):
                 put(None, row)
@@ -156,14 +152,16 @@ def split_rows(
 ) -> Iterator[Iterator[Any]]:
     """:func:`~corpusops.corpus.read_rows` over ``src``, its ranges parsed in parallel.
 
-    Yields an iterator over the rows of every range in range order, and
-    passes each bad line to ``on_error`` as it comes in that order; line
-    numbers are those of the whole input.  ``parse`` must return what
-    :mod:`marshal` can write.  Standard output and error are flushed
-    before the first fork.  A worker writes its rows to an anonymous
-    temporary file in $TMPDIR, never to the command's streams, and the
-    main process reads the file back once the worker has ended.  A failed
-    worker raises ``ChildProcessError`` naming the first line of its range.
+    ``src`` is decoded as every record stream is (``corpus._INPUT_TEXT``),
+    as a worker decodes its range.  Yields an iterator over the rows of
+    every range in range order, and passes each bad line to ``on_error``
+    as it comes in that order; line numbers are those of the whole input.
+    ``parse`` must return what :mod:`marshal` can write.  Standard output
+    and error are flushed before the first fork.  A worker writes its rows
+    to an anonymous temporary file in $TMPDIR, never to the command's
+    streams, and the main process reads the file back once the worker has
+    ended.  A failed worker raises ``ChildProcessError`` naming the first
+    line of its range.
     When the block exits, every worker has ended, killed if need be.
 
     Workers are forked, not spawned, so they start without an interpreter

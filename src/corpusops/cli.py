@@ -37,6 +37,7 @@ from typing import IO, Any, Callable, Iterator
 
 from corpusops import __version__
 from corpusops.corpus import (
+    _INPUT_TEXT,
     Document,
     SourceClass,
     decode_line,
@@ -55,17 +56,11 @@ from corpusops.corpus import (
 
 @contextmanager
 def _open_in(path: str | None) -> Iterator[IO[str]]:
-    # An invalid byte decodes to a lone surrogate, so read_rows skips and
-    # reports its line instead of the decoder aborting the stream.  Lines
-    # end at "\n" alone, as on stdin, so a stray "\r" splits neither.
+    """``path`` opened for reading as main() set up stdin; stdin for None or ``-``."""
     if path in (None, "-"):
-        if hasattr(sys.stdin, "reconfigure"):
-            sys.stdin.reconfigure(errors="surrogateescape")
         yield sys.stdin
     else:
-        with open(
-            path, "r", encoding="utf-8", errors="surrogateescape", newline="\n"
-        ) as handle:
+        with open(path, "r", **_INPUT_TEXT) as handle:
             yield handle
 
 
@@ -74,23 +69,21 @@ def _rereadable(stream: IO[str]) -> Iterator[tuple[int, Callable[[], IO[str]]]]:
     """(line count, ``reread``): each ``reread()`` gives the stream's lines anew.
 
     A seekable stream (a file, ``< file``) is read again from where it
-    stood.  Any other (a pipe, ``-i <(zcat ...)``) is first copied to an
-    anonymous temporary file in $TMPDIR, which is read instead and removed
-    at exit.  Invalid bytes, surrogate-escaped when read, are written back
-    as the same bytes, so every read sees the same lines.
+    stood.  Any other (a pipe, ``-i <(zcat ...)``) has its bytes copied,
+    undecoded, to an anonymous temporary file in $TMPDIR, which is read
+    instead, decoded as every record stream is, and removed at exit.
     """
     if stream.seekable():
         lines, start = nullcontext(stream), stream.tell()
     else:
+        import shutil
         import tempfile
 
         start = 0
-        lines = tempfile.TemporaryFile(
-            "w+", encoding="utf-8", errors="surrogateescape", newline="\n"
-        )
+        lines = tempfile.TemporaryFile("w+", **_INPUT_TEXT)
     with lines as handle:
         if handle is not stream:
-            handle.writelines(stream)
+            shutil.copyfileobj(stream.buffer, handle.buffer)
 
         def reread() -> IO[str]:
             handle.seek(start)
@@ -447,22 +440,27 @@ def cmd_transform_topo(args: argparse.Namespace) -> int:
 
 
 def cmd_transform_qa(args: argparse.Namespace) -> int:
+    from corpusops._split import split_rows
     from corpusops.transforms import append_qa
 
     # QA pairs ride on the record under "qa": [{"q":..., "a":...}, ...]
-    def with_qa(doc: Document) -> Document:
+    def with_qa(doc: Document) -> str:
         pairs = [(p["q"], p["a"]) for p in doc.extra.get("qa", [])]
-        if not pairs:
-            return doc
-        return replace(
-            doc,
-            text=append_qa(doc.text, pairs),
-            extra={k: v for k, v in doc.extra.items() if k != "qa"},
-        )
+        if pairs:
+            doc = replace(
+                doc,
+                text=append_qa(doc.text, pairs),
+                extra={k: v for k, v in doc.extra.items() if k != "qa"},
+            )
+        return json.dumps(document_to_json(doc), ensure_ascii=False) + "\n"
 
     parse = _row_parser(with_qa, '"qa" of {"q", "a"} objects', load=parse_record)
-    with _open_in(args.input) as src, _open_out(args.output) as dst:
-        write_records(read_rows(src, parse, on_error=_report_bad_line), dst)
+    with (
+        _open_in(args.input) as src,
+        split_rows(src, parse, _report_bad_line) as rows,
+        _open_out(args.output) as dst,
+    ):
+        write_records(rows, dst)
     return 0
 
 
@@ -767,6 +765,16 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
+    # Every stream is UTF-8 whatever the locale or PYTHONIOENCODING, so the
+    # same bytes in give the same bytes out however they arrive.  stdin is
+    # read as -i files are; nothing is read here.
+    for stream, settings in (
+        (sys.stdin, _INPUT_TEXT),
+        (sys.stdout, {"encoding": "utf-8", "errors": "strict"}),
+        (sys.stderr, {"encoding": "utf-8", "errors": "backslashreplace"}),
+    ):
+        if hasattr(stream, "reconfigure"):  # not a StringIO, say, or None
+            stream.reconfigure(**settings)
     args = build_parser().parse_args(argv)
     try:
         _check_outputs(args)

@@ -35,6 +35,11 @@ __all__ = [
 
 _KNOWN_KEYS = ("id", "text", "source_class", "dup_count", "curated", "timestamp")
 
+# How every record stream is read, whatever the locale or PYTHONIOENCODING:
+# as UTF-8, with an invalid byte decoded to a lone surrogate so that
+# read_rows skips and reports its line instead of the decoder aborting the
+# stream, and with lines ended at "\n" alone, so a stray "\r" splits none.
+_INPUT_TEXT = {"encoding": "utf-8", "errors": "surrogateescape", "newline": "\n"}
 _LINE_ENDS = ("\n", "\r\n")
 _scan_once = json.JSONDecoder().scan_once
 # A JSON escape of a UTF-16 surrogate, the only escape that can decode to

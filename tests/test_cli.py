@@ -417,10 +417,10 @@ class TestDedupNearTwoPasses:
 def split_corpus(rng: random.Random) -> bytes:
     """Input for every command that splits, with each line shape a cut can land next to.
 
-    A record carries "text" for dedup-exact and pack and "repo" and
-    "files" for transform topo.  Between records come runs of blank lines,
-    CRLF line ends, a lone CR as JSON whitespace, malformed lines and
-    invalid UTF-8; the last line often has no line end.
+    A record carries "text" for dedup-exact and pack, "repo" and "files"
+    for transform topo and "qa" for transform qa.  Between records come
+    runs of blank lines, CRLF line ends, a lone CR as JSON whitespace,
+    malformed lines and invalid UTF-8; the last line often has no line end.
     """
     texts = [" ".join(random_words(rng, rng.randint(1, 8))) for _ in range(3)] + ["é ü", ""]
     files = [{"path": "a.py", "text": "import b\n"}, {"path": "b.py", "text": "B = 1\n"}]
@@ -436,7 +436,8 @@ def split_corpus(rng: random.Random) -> bytes:
             lines.append(b'{"text": "bad \xff byte", "files": []}\n')
         else:
             record = {"text": rng.choice(texts), "files": rng.sample(files, len(files))}
-            for key, values in (("id", [None, 7, True, "a", "é"]), ("repo", [None, 5, "r"])):
+            for key, values in (("id", [None, 7, True, "a", "é"]), ("repo", [None, 5, "r"]),
+                                ("qa", [[], [{"q": "Q?", "a": "é"}], [{"q": "Q?"}]])):
                 if rng.random() < 0.7:
                     record[key] = rng.choice(values)
             line = json.dumps(record, ensure_ascii=rng.random() < 0.5)
@@ -511,10 +512,11 @@ print(json.dumps(results))
 
 
 class TestSplitInput:
-    """transform topo, dedup-exact and pack over byte ranges in forked workers."""
+    """transform topo and qa, dedup-exact and pack over byte ranges in forked workers."""
 
     COMMANDS = {
         "topo": ["transform", "topo"],
+        "qa": ["transform", "qa"],
         "exact": ["dedup-exact", "--capacity", "100"],
         "pack": ["pack", "--capacity", "12", "--max-open", "2"],
     }
@@ -1370,6 +1372,54 @@ class TestErrorPaths:
         assert proc.returncode == 0, proc.stderr
         assert proc.stderr.decode() == "line 2: line is not valid UTF-8: byte 0xff at character 10\n"
         assert b'"docs_packed": 1' in proc.stdout
+
+    @pytest.mark.parametrize("encoding", ["latin-1", "ascii"])
+    def test_stdio_encoding_changes_no_byte_read_or_written(self, encoding, tmp_path):
+        # The two records are one under UTF-8 (the digest folds case), and
+        # neither can be written in ASCII.  A file, a redirected file and a
+        # pipe are each read and written as UTF-8 whatever the locale says.
+        rows = [{"id": "a", "text": "café 中"}, {"id": "b", "text": "CAFÉ 中"}]
+        data = "".join(json.dumps(row, ensure_ascii=False) + "\n" for row in rows).encode()
+        path = tmp_path / "in.jsonl"
+        path.write_bytes(data)
+
+        def run(io_encoding, way):
+            argv = ["dedup-exact", "--capacity", "10"]
+            env = dict(os.environ, PYTHONIOENCODING=io_encoding)
+            if way == "-i":
+                proc = run_corpusops(*argv, "-i", str(path), env=env)
+            elif way == "<":
+                with open(path, "rb") as stdin:
+                    proc = run_corpusops(*argv, stdin=stdin, env=env)
+            else:
+                proc = run_corpusops(*argv, input=data, env=env)
+            return proc.returncode, proc.stdout, proc.stderr
+
+        for way in ("-i", "<", "pipe"):
+            expected = run("utf-8", way)
+            assert expected[:2] == (0, data.splitlines(keepends=True)[0]), way
+            assert run(encoding, way) == expected, way
+
+    def test_reports_on_ascii_stdio_are_utf8(self, tmp_path):
+        # A cluster line on stderr is JSON, not "caf\xe9"; a table on stdout
+        # is written, not refused with a UnicodeEncodeError.
+        env = dict(os.environ, PYTHONIOENCODING="ascii")
+        text = " ".join(f"tok{i}" for i in range(40))
+        rows = [{"id": "café", "text": text}, {"id": "b", "text": text}]
+        data = "".join(json.dumps(row, ensure_ascii=False) + "\n" for row in rows).encode()
+        proc = run_corpusops("dedup-near", input=data, env=env)
+        assert proc.returncode == 0, proc.stderr
+        report = [json.loads(line) for line in proc.stderr.decode().splitlines()]
+        assert [r["members"] for r in report if "members" in r] == [["b", "café"]]
+
+        stats = tmp_path / "stats.jsonl"
+        stats.write_text(json.dumps({"group": "café", "tokens": 10, "bucket": "1"},
+                                    ensure_ascii=False) + "\n", encoding="utf-8")
+        manifest = tmp_path / "manifest.jsonl"
+        proc = run_corpusops("mix", "--stats", str(stats), "-o", str(manifest), env=env)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.decode().splitlines()[2].split()[0] == "café"
+        assert json.loads(manifest.read_text(encoding="utf-8"))["group"] == "café"
 
     IO_COMMANDS = {
         "dedup-exact": ["dedup-exact", "--capacity", "10"],
