@@ -65,11 +65,12 @@ def _open_in(path: str | None) -> Iterator[IO[str]]:
 
 
 @contextmanager
-def _rereadable(stream: IO[str]) -> Iterator[tuple[int, Callable[[], IO[str]]]]:
-    """(line count, ``reread``): each ``reread()`` gives the stream's lines anew.
+def _rereadable(stream: IO[str]) -> Iterator[Callable[[], IO[str]]]:
+    """``reread``: each ``reread()`` gives the stream's lines anew.
 
     A seekable stream (a file, ``< file``) is read again from where it
-    stood.  Any other (a pipe, ``-i <(zcat ...)``) has its bytes copied,
+    stood, so each read is a pass over the input and nothing is read in
+    advance.  Any other (a pipe, ``-i <(zcat ...)``) has its bytes copied,
     undecoded, to an anonymous temporary file in $TMPDIR, which is read
     instead, decoded as every record stream is, and removed at exit.
     """
@@ -89,7 +90,7 @@ def _rereadable(stream: IO[str]) -> Iterator[tuple[int, Callable[[], IO[str]]]]:
             handle.seek(start)
             return handle
 
-        yield sum(1 for _ in reread()), reread
+        yield reread
 
 
 @contextmanager
@@ -280,11 +281,11 @@ def cmd_dedup_near(args: argparse.Namespace) -> int:
         return doc
 
     stats = NearDupStats()
-    with _open_in(args.input) as src, _rereadable(src) as (line_count, reread):
+    with _open_in(args.input) as src, _rereadable(src) as reread:
         # Pass 1 keeps each record's band keys, confirm sketch and ranking
         # fields, no text.
         records = read_rows(reread(), parse, on_error=_report_bad_line)
-        clusters = near_clusters(records, config, stats, size=line_count)
+        clusters = near_clusters(records, config, stats)
         drop, promote = cluster_outcome(clusters)
 
         def kept() -> Iterator[Document | str]:
@@ -435,7 +436,7 @@ def cmd_transform_topo(args: argparse.Namespace) -> int:
         split_rows(src, parse, _report_bad_line) as rows,
         _open_out(args.output) as dst,
     ):
-        dst.writelines(rows)
+        write_records(rows, dst)
     return 0
 
 

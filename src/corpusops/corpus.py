@@ -92,7 +92,12 @@ class RecordError:
 
 
 class RecordWriteError(OSError):
-    """Raised when emission fails partway; ``written`` records made it out."""
+    """Raised when emission fails partway.
+
+    ``written`` counts the records handed to the stream before the failing
+    one, not those that reached the device: a buffered stream may still
+    hold them when the write fails.
+    """
 
     def __init__(self, written: int, cause: BaseException):
         super().__init__(f"record write failed after {written} records: {cause}")
@@ -303,7 +308,8 @@ def write_records(records: Iterable[Document | str], stream: IO[str]) -> int:
     emits its kept records field for field, not byte for byte: a key the
     input left out stays out, and the reader fills its default again.  An
     I/O failure aborts with :class:`RecordWriteError` carrying the number
-    of records fully written so far.
+    of records handed to ``stream`` before the one that failed; a buffered
+    stream may not have passed them on yet.
     """
     written = 0
     for record in records:

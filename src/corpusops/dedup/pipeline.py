@@ -13,11 +13,13 @@ weighting can bucket it.
 
 :func:`near_clusters` is that path from documents to clusters, and
 :func:`near_dedup` and the ``dedup-near`` command both run it.  It
-streams: of each document it keeps one row of :func:`fingerprint`'s
-result, its keys, its sketch and the ``id``, ``curated`` and
-``timestamp`` that pick a representative, so a caller that reads its
-documents from a file once to cluster them and once more to write the
-kept ones holds no text beyond the current batch.
+streams: it takes any iterable of documents, with no count in advance,
+and of each document it keeps one row of :func:`fingerprint`'s result,
+its keys, its sketch and the ``id``, ``curated`` and ``timestamp`` that
+pick a representative.  The key and sketch arrays grow batch by batch as
+the documents are read, so a caller that reads its documents from a file
+once to cluster them and once more to write the kept ones holds no text
+beyond the current batch.
 
 Running the pipeline on its own output at the same threshold yields zero
 new clusters: survivors of a pass were pairwise rejected (or never
@@ -186,49 +188,48 @@ def _batches(documents: Iterable[Document]) -> Iterator[tuple[list[Ranking], lis
 
 
 def fingerprint(
-    documents: Iterable[Document], config: NearDupConfig, size: int | None = None
+    documents: Iterable[Document], config: NearDupConfig
 ) -> tuple[list[Ranking], np.ndarray, np.ndarray]:
     """(rankings, band keys, confirm sketch) of the documents with words after normalization.
 
     Row ``i`` of all three is the ``i``-th such document: its ``Ranking``,
     its ``bands`` uint64 keys and its ``num_perm`` uint16 bins.  Documents
-    are sketched in batches of about :data:`BATCH_WORDS` words; each
-    batch's signature rows give its key and sketch rows and are then
-    dropped, so batch boundaries change no value and the full-width
-    signature matrix is never held.  Both arrays are allocated once with
-    ``size`` rows (default ``len(documents)``), at least the number of
-    documents, and filled in place; only the current batch's texts are held.
+    are read once, as a stream of any length, and sketched in batches of
+    about :data:`BATCH_WORDS` words.  Each batch's signature rows give its
+    key and sketch rows and are then dropped, so batch boundaries change no
+    value and the full-width signature matrix is never held.  The key and
+    sketch rows are appended to two growing byte buffers, and the arrays
+    returned are views of them; only the current batch's texts are held.
     """
-    size = len(documents) if size is None else size
-    keys = np.empty((size, config.bands), dtype=np.uint64)
-    sketch = np.empty((size, config.num_perm), dtype=SKETCH_DTYPE)
+    keys, sketch = bytearray(), bytearray()
     ranks: list[Ranking] = []
     for batch, texts in _batches(documents):
-        if len(ranks) + len(texts) > size:
-            raise ValueError(f"more than the {size} documents announced")
         block = signature_matrix(texts, config.perm_seed, config.num_perm, config.shingle_size)
-        keys[len(ranks) : len(ranks) + len(texts)] = band_keys(block, config.rows)
-        sketch[len(ranks) : len(ranks) + len(texts)] = confirm_sketch(block)
+        # bytearray += ndarray would broadcast; append the rows' bytes.
+        keys += band_keys(block, config.rows).tobytes()
+        sketch += confirm_sketch(block).tobytes()
         ranks += batch
-    return ranks, keys[: len(ranks)], sketch[: len(ranks)]
+    return (
+        ranks,
+        np.frombuffer(keys, np.uint64).reshape(-1, config.bands),
+        np.frombuffer(sketch, SKETCH_DTYPE).reshape(-1, config.num_perm),
+    )
 
 
 def near_clusters(
     documents: Iterable[Document],
     config: NearDupConfig = NearDupConfig(),
     stats: NearDupStats | None = None,
-    size: int | None = None,
 ) -> list[ClusterRecord]:
     """Near-duplicate clusters of the documents, each with its representative.
 
-    Document ids must be unique.  ``documents`` is read once, as a stream,
-    by :func:`fingerprint`; ``size`` is at least the number of documents
-    (default ``len(documents)``) and sizes the key and sketch arrays.
-    Clusters come sorted by smallest member id; ``stats``, when given,
-    receives the bucket and confirmation counters.
+    Document ids must be unique.  ``documents`` is read once, as a stream
+    of any length (a generator will do), by :func:`fingerprint`.  Clusters
+    come sorted by smallest member id; ``stats``, when given, receives the
+    bucket and confirmation counters.
     """
     stats = NearDupStats() if stats is None else stats
-    ranks, keys, sketch = fingerprint(documents, config, size)
+    ranks, keys, sketch = fingerprint(documents, config)
     forest = UnionFind(len(ranks))
     for column in keys.T:
         _link_buckets(forest, sketch, column, config.confirm_threshold, stats)

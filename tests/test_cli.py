@@ -348,6 +348,29 @@ class TestDedupNearTwoPasses:
         assert run("stdin") == (code, out, err, clusters)
         assert run("pipe") == (code, out, err, clusters)
 
+    def test_seekable_stdin_is_read_twice(self, monkeypatch, capsys):
+        # One pass to cluster, one to write: nothing counts the lines first.
+        class CountingStdin(io.StringIO):
+            lines = 0
+
+            def __next__(self):
+                line = super().__next__()
+                CountingStdin.lines += 1
+                return line
+
+        rng = random.Random(11)
+        texts = [" ".join(random_words(rng, 12)) for _ in range(20)]
+        data = records(
+            *({"id": f"d{i}", "text": texts[i % 20]} for i in range(28)),
+            {"id": "d0", "text": "a repeated id"},
+        ) + "\n"
+        monkeypatch.setattr(sys, "stdin", CountingStdin(data))
+        assert main(self.ARGV) == 0
+        assert CountingStdin.lines == 2 * 30
+        out, err = capsys.readouterr()
+        assert run_cli(self.ARGV, data, monkeypatch, capsys) == (0, out, err)
+        assert len(out.splitlines()) == 20
+
     def test_peak_memory_does_not_grow_with_document_length(self, tmp_path, monkeypatch):
         # Holding every document, the long run peaked about its total text
         # size (10 MB here) above the short one; two passes hold one batch.
@@ -1321,6 +1344,30 @@ class TestErrorPaths:
         assert [line for line in err.splitlines() if line.startswith("line ")] == [
             f"line 2: {report}"
         ]
+
+    @pytest.mark.parametrize("command", ["dedup-exact", "dedup-near", "fim", "qa", "topo"])
+    def test_failed_record_write_reports_the_records_handed_over(self, command, tmp_path,
+                                                                 monkeypatch, capsys):
+        # Every record stream writes through write_records, so a full
+        # device reports how far the output got, the same for each command.
+        class FullStdout(io.StringIO):
+            lines = 0  # the device fills up after one line
+
+            def write(self, data):
+                if FullStdout.lines:
+                    raise OSError(28, "No space left on device")
+                FullStdout.lines += data.count("\n")
+                return len(data)
+
+        argv, good, _, _ = self.SURROGATE_CASES[command]
+        argv = [a.format(path=tmp_path / "in.jsonl") for a in argv]
+        (tmp_path / "in.jsonl").write_text(records(*good, *good))
+        monkeypatch.setattr(sys, "stdout", FullStdout())
+        assert main(argv) == 2
+        assert capsys.readouterr().err.splitlines()[-1] == (
+            "error: record write failed after 1 records: "
+            "[Errno 28] No space left on device"
+        )
 
     @pytest.mark.parametrize("command", sorted(SURROGATE_CASES))
     def test_deeply_nested_line_is_skipped_and_reported(self, command, tmp_path,

@@ -262,7 +262,8 @@ class TestNearDedupPipeline:
         assert [r.members for r in staged] == [r.members for r in whole]
 
     def test_streamed_clusters_equal_near_dedup(self):
-        # near_clusters reads a one-shot stream into a matrix sized in advance.
+        # near_clusters reads a one-shot stream of unknown length; its key
+        # and sketch arrays grow as the documents are read.
         rng = random.Random(17)
         texts = planted_corpus(rng, n_groups=5, group_size=3, n_singletons=20)
         docs = [
@@ -273,9 +274,10 @@ class TestNearDedupPipeline:
         docs.append(Document(id="blank", text="?!"))
         config = NearDupConfig(perm_seed=8)
         _, whole = near_dedup(docs, config)
-        assert pipeline.near_clusters(iter(docs), config, size=len(docs) + 3) == whole
-        with pytest.raises(ValueError, match="more than the 10 documents"):
-            pipeline.near_clusters(iter(docs), config, size=10)
+        assert pipeline.near_clusters((doc for doc in docs), config) == whole
+        _, keys, sketch = pipeline.fingerprint(iter(()), config)
+        assert keys.shape == (0, config.bands) and sketch.shape == (0, config.num_perm)
+        assert pipeline.near_clusters(iter(()), config) == []
 
     def test_link_skips_pairs_already_joined(self):
         matrix = np.zeros((4, 8), dtype=np.uint64)
