@@ -30,7 +30,7 @@ import os
 import random
 import stat
 import sys
-from contextlib import contextmanager, nullcontext
+from contextlib import contextmanager, nullcontext, suppress
 from dataclasses import asdict, replace
 from functools import partial
 from typing import IO, Any, Callable, Iterator
@@ -98,9 +98,17 @@ def _open_out(path: str | None, stream: IO[str] | None = None) -> Iterator[IO[st
     """``path`` opened for writing; ``stream``, else stdout, for None or ``-``."""
     if path in (None, "-"):
         yield stream or sys.stdout
-    else:
-        with open(path, "w", encoding="utf-8") as handle:
-            yield handle
+        return
+    handle = open(path, "w", encoding="utf-8")
+    try:
+        yield handle
+    except BaseException:
+        # After a failed write, close() fails again on the same buffered
+        # bytes (and still releases the descriptor): report the first error.
+        with suppress(OSError):
+            handle.close()
+        raise
+    handle.close()
 
 
 def _file_key(path: str | None, stream: str | None) -> tuple[int, int] | str | None:
@@ -165,11 +173,6 @@ def _check_outputs(args: argparse.Namespace) -> None:
 
 def _report_bad_line(err) -> None:
     print(f"line {err.line_number}: {err.message}", file=sys.stderr)
-
-
-def _emit(obj: dict, stream: IO[str]) -> None:
-    stream.write(json.dumps(obj, ensure_ascii=False))
-    stream.write("\n")
 
 
 def _row_parser(
@@ -251,7 +254,7 @@ def cmd_dedup_exact(args: argparse.Namespace) -> int:
             f"(see live_fpr)",
             file=sys.stderr,
         )
-    _emit(asdict(stats), sys.stderr)  # seen, dropped, live_fpr
+    write_records([asdict(stats)], sys.stderr)  # seen, dropped, live_fpr
     return 0
 
 
@@ -308,17 +311,11 @@ def cmd_dedup_near(args: argparse.Namespace) -> int:
         with _open_out(args.output) as dst:
             written = write_records(kept(), dst)
     with _open_out(args.clusters, sys.stderr) as dst:
-        for record in clusters:
-            _emit(
-                {
-                    "representative": record.representative,
-                    "members": list(record.members),
-                    "size": record.size,
-                },
-                dst,
-            )
+        write_records(({"representative": record.representative,
+                        "members": list(record.members),
+                        "size": record.size} for record in clusters), dst)
     counts = {"documents": len(first_line), "kept": written, "clusters": len(clusters)}
-    _emit({**counts, **asdict(stats)}, sys.stderr)  # largest_bucket, confirmations
+    write_records([{**counts, **asdict(stats)}], sys.stderr)  # largest_bucket, confirmations
     return 0
 
 
@@ -356,17 +353,14 @@ def cmd_mix(args: argparse.Namespace) -> int:
         else None
     )
     with _open_out(args.output) as dst:
-        for row in manifest.rows:
-            record = {
-                "group": row.group,
-                "tokens": row.tokens,
-                "weight": row.weight,
-                "weighted_tokens": row.weighted_tokens,
-                "proportion": row.proportion,
-            }
-            if quotas is not None:
-                record["quota_tokens"] = quotas[row.group]
-            _emit(record, dst)
+        write_records(({
+            "group": row.group,
+            "tokens": row.tokens,
+            "weight": row.weight,
+            "weighted_tokens": row.weighted_tokens,
+            "proportion": row.proportion,
+            **({} if quotas is None else {"quota_tokens": quotas[row.group]}),
+        } for row in manifest.rows), dst)
 
     table = sys.stdout if args.output not in (None, "-") else sys.stderr
     header = f"{'group':<24} {'tokens':>14} {'w':>3} {'weighted':>14} {'share':>8}"
@@ -503,14 +497,16 @@ def cmd_pack(args: argparse.Namespace) -> int:
         sequences, stats = pack_online(
             (PackInput(*row) for row in rows), args.capacity, args.max_open
         )
-        with _open_out(args.output) as dst:
+
+        def lines() -> Iterator[dict]:  # the stats line last: the sequences fill it in
             for seq in sequences:
                 entries = [{"id": i, "len": n} for i, n in seq.entries]
-                _emit(dict(capacity=seq.capacity, entries=entries, padding=seq.padding), dst)
-            _emit({"sequences": stats.sequences, "docs_packed": stats.docs_packed,
-                   "docs_skipped": stats.docs_skipped,
-                   "truncation_ratio": stats.truncation_ratio,
-                   "padding_ratio": stats.padding_ratio}, dst)
+                yield dict(capacity=seq.capacity, entries=entries, padding=seq.padding)
+            names = ("sequences", "docs_packed", "docs_skipped", "truncation_ratio", "padding_ratio")
+            yield {name: getattr(stats, name) for name in names}
+
+        with _open_out(args.output) as dst:
+            write_records(lines(), dst)
     return 0
 
 
@@ -569,8 +565,7 @@ def cmd_monitor(args: argparse.Namespace) -> int:
 
     with _open_in(args.input) as src, _open_out(args.output) as dst:
         metrics = read_rows(src, parse, on_error=_report_bad_line)
-        for event in run_monitor(metrics, config):
-            _emit(event.to_json(), dst)
+        write_records((event.to_json() for event in run_monitor(metrics, config)), dst)
     return 0
 
 
@@ -615,24 +610,23 @@ def cmd_plan(args: argparse.Namespace) -> int:
         params=args.params,
         schedule=args.schedule,
     )
+    record = {
+        "batch_tokens": plan.batch_tokens,
+        "lr": plan.lr,
+        "weight_decay": plan.weight_decay,
+        "total_tokens": plan.total_tokens,
+        "steps": plan.steps,
+        "tau_epoch": plan.tau,
+    }
+    if plan.params is not None:
+        record["params"] = plan.params
+        record["tokens_per_parameter"] = plan.tokens_per_parameter
+    rows = [record]
+    if args.schedule is not None:  # the rate at 11 evenly spaced steps
+        steps = (round(i * args.schedule.total_steps / 10) for i in range(11))
+        rows += ({"step": step, "lr": lr_at(step, args.schedule)} for step in steps)
     with _open_out(args.output) as dst:
-        record = {
-            "batch_tokens": plan.batch_tokens,
-            "lr": plan.lr,
-            "weight_decay": plan.weight_decay,
-            "total_tokens": plan.total_tokens,
-            "steps": plan.steps,
-            "tau_epoch": plan.tau,
-        }
-        if plan.params is not None:
-            record["params"] = plan.params
-            record["tokens_per_parameter"] = plan.tokens_per_parameter
-        _emit(record, dst)
-        if args.schedule is not None:
-            points = 11
-            for i in range(points):
-                step = round(i * args.schedule.total_steps / (points - 1))
-                _emit({"step": step, "lr": lr_at(step, args.schedule)}, dst)
+        write_records(rows, dst)
     return 0
 
 
@@ -779,9 +773,15 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         _check_outputs(args)
-        return args.func(args)
+        status = args.func(args)
+        sys.stdout.flush()  # a printed table or number fails here, not at exit
+        return status
     except (ValueError, KeyError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        try:
+            sys.stdout.flush()
+        except OSError:  # the exit flush would fail on the same bytes: drop them
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 2
 
 

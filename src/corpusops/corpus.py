@@ -92,12 +92,7 @@ class RecordError:
 
 
 class RecordWriteError(OSError):
-    """Raised when emission fails partway.
-
-    ``written`` counts the records handed to the stream before the failing
-    one, not those that reached the device: a buffered stream may still
-    hold them when the write fails.
-    """
+    """A failed write or flush in :func:`write_records`; ``written`` is its count."""
 
     def __init__(self, written: int, cause: BaseException):
         super().__init__(f"record write failed after {written} records: {cause}")
@@ -297,19 +292,18 @@ def document_to_json(doc: Document) -> dict[str, Any]:
     return obj
 
 
-def write_records(records: Iterable[Document | str], stream: IO[str]) -> int:
-    """Write one JSON line per record; returns the record count.
+def write_records(records: Iterable[Document | dict | str], stream: IO[str]) -> int:
+    """Write one JSON line per record, then flush; returns the record count.
 
     A :class:`Document` is encoded: ``read_records(write_records(X))``
-    reproduces X field for field, and embedded newlines and other control
-    characters are JSON-escaped.  A ``str`` is a wire line as read, written
-    as it is but for its line end, which becomes one ``"\\n"`` (a ``"\\r\\n"``
-    or a missing one included).  A filter that passes such lines through
-    emits its kept records field for field, not byte for byte: a key the
-    input left out stays out, and the reader fills its default again.  An
-    I/O failure aborts with :class:`RecordWriteError` carrying the number
-    of records handed to ``stream`` before the one that failed; a buffered
-    stream may not have passed them on yet.
+    reproduces X field for field, control characters JSON-escaped.  A
+    ``dict`` is encoded as it is, keys in order and non-ASCII unescaped.  A
+    ``str`` is a wire line as read, written as it is but for its line end,
+    which becomes one ``"\\n"`` (a ``"\\r\\n"`` or a missing one included):
+    a filter that passes lines through keeps records field for field, not
+    byte for byte.  A failed write, or the final flush, raises
+    :class:`RecordWriteError` counting the records handed to ``stream``
+    before it, which a buffered stream may not have passed on yet.
     """
     written = 0
     for record in records:
@@ -319,9 +313,14 @@ def write_records(records: Iterable[Document | str], stream: IO[str]) -> int:
                     record = record.rstrip("\r\n") + "\n"
                 stream.write(record)
             else:
-                stream.write(json.dumps(document_to_json(record), ensure_ascii=False))
+                obj = document_to_json(record) if isinstance(record, Document) else record
+                stream.write(json.dumps(obj, ensure_ascii=False))
                 stream.write("\n")
         except OSError as exc:
             raise RecordWriteError(written, exc) from exc
         written += 1
+    try:
+        stream.flush()
+    except OSError as exc:
+        raise RecordWriteError(written, exc) from exc
     return written

@@ -1345,7 +1345,8 @@ class TestErrorPaths:
             f"line 2: {report}"
         ]
 
-    @pytest.mark.parametrize("command", ["dedup-exact", "dedup-near", "fim", "qa", "topo"])
+    @pytest.mark.parametrize("command", ["dedup-exact", "dedup-near", "fim", "mix", "monitor",
+                                         "pack", "qa", "topo"])
     def test_failed_record_write_reports_the_records_handed_over(self, command, tmp_path,
                                                                  monkeypatch, capsys):
         # Every record stream writes through write_records, so a full
@@ -1360,6 +1361,8 @@ class TestErrorPaths:
                 return len(data)
 
         argv, good, _, _ = self.SURROGATE_CASES[command]
+        if command == "mix":  # a repeated group is skipped; two give two rows
+            good = [*good, {"group": "h", "tokens": 5, "bucket": "1"}]
         argv = [a.format(path=tmp_path / "in.jsonl") for a in argv]
         (tmp_path / "in.jsonl").write_text(records(*good, *good))
         monkeypatch.setattr(sys, "stdout", FullStdout())
@@ -1368,6 +1371,111 @@ class TestErrorPaths:
             "error: record write failed after 1 records: "
             "[Errno 28] No space left on device"
         )
+
+    def inputs(self, tmp_path):
+        """Small input files, by the name that argv templates below use."""
+        names = {"path": tmp_path / "in.jsonl", "repos": tmp_path / "repos.jsonl",
+                 "stats": tmp_path / "stats.jsonl", "losses": tmp_path / "losses.jsonl"}
+        names["path"].write_text(records(self.DOC, self.DOC2, {**self.DOC, "id": "b"}))
+        names["repos"].write_text(records(
+            {"repo": "r", "files": [{"path": "a.py", "text": "A = 1\n"}]},
+            {"repo": "s", "files": [{"path": "b.py", "text": "B = 1\n"}]}))
+        names["stats"].write_text(records({"group": "g", "tokens": 10, "bucket": "1"},
+                                          {"group": "h", "tokens": 5, "bucket": "1"}))
+        names["losses"].write_text(records(*LOSSES))
+        return names
+
+    # command -> (argv, the records it writes to "-o /dev/full" or
+    # "--clusters /dev/full")
+    FULL_DEVICE_CASES = {
+        "dedup-exact": (["dedup-exact", "--capacity", "10", "-i", "{path}", "-o", "/dev/full"],
+                        2),
+        "dedup-near": (["dedup-near", "-i", "{path}", "--clusters", "/dev/full"], 1),
+        "pack": (["pack", "--capacity", "8", "-i", "{path}", "-o", "/dev/full"], 3),
+        "mix": (["mix", "--stats", "{stats}", "-o", "/dev/full"], 2),
+        "plan": (["plan", "--batch-tokens", "1e6", "--lr", "3e-4", "--tokens", "1e9",
+                  "--wd", "0.1", "-o", "/dev/full"], 1),
+    }
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+    @pytest.mark.parametrize("command", sorted(FULL_DEVICE_CASES))
+    def test_output_on_a_full_device_reports_the_records_handed_over(self, command, tmp_path):
+        # A small output fails only at the flush; the file's close then fails
+        # again on the same bytes, and must not hide the count.
+        argv, written = self.FULL_DEVICE_CASES[command]
+        names = self.inputs(tmp_path)
+        proc = run_corpusops(*(a.format(**names) for a in argv), text=True)
+        assert proc.returncode == 2, proc.stderr
+        assert proc.stderr.splitlines()[-1] == (
+            f"error: record write failed after {written} records: "
+            "[Errno 28] No space left on device"
+        )
+
+    RECORD_STDOUT_CASES = {
+        "dedup-exact": ["dedup-exact", "--capacity", "10", "-i", "{path}"],
+        "dedup-near": ["dedup-near", "-i", "{path}"],
+        "fim": ["transform", "fim", "-i", "{path}"],
+        "qa": ["transform", "qa", "-i", "{path}"],
+        "topo": ["transform", "topo", "-i", "{repos}"],
+        "pack": ["pack", "--capacity", "8", "-i", "{path}"],
+        "mix": ["mix", "--stats", "{stats}"],
+        "monitor": ["monitor", "--total-steps", "2000", "--alert", "3,2.0,3.0",
+                    "--restart", "5,2.5,4.0", "--interval", "500", "-i", "{losses}"],
+        "plan": ["plan", "--batch-tokens", "1e6", "--lr", "3e-4", "--tokens", "1e9",
+                 "--wd", "0.1", "--schedule", "linear_to_zero,3e-4,0,10,100"],
+    }
+
+    # How a stdout sink fails: a full device, or a pipe whose reader is gone
+    # (`corpusops ... | head -0`).
+    SINKS = {"full": "[Errno 28] No space left on device",
+             "closed-pipe": "[Errno 32] Broken pipe"}
+
+    @staticmethod
+    def run_buffered(argv, sink=None):
+        """``argv`` with stdout buffered, as when PYTHONUNBUFFERED is unset, and
+        captured, or on ``sink``."""
+        env = {k: v for k, v in os.environ.items()
+               if k not in ("PYTHONUNBUFFERED", "CORPUSOPS_WEBHOOK")}
+        if sink is None:
+            return run_corpusops(*argv, env=env, text=True)
+        if sink == "full":
+            if not os.path.exists("/dev/full"):
+                pytest.skip("needs /dev/full")
+            stdout = os.open("/dev/full", os.O_WRONLY)
+        else:
+            read_end, stdout = os.pipe()
+            os.close(read_end)
+        try:
+            return run_corpusops(*argv, env=env, stdout=stdout, stderr=subprocess.PIPE,
+                                 capture_output=False, text=True)
+        finally:
+            os.close(stdout)
+
+    @pytest.mark.parametrize("sink", sorted(SINKS))
+    @pytest.mark.parametrize("command", sorted(RECORD_STDOUT_CASES))
+    def test_failed_buffered_stdout_exits_2(self, command, sink, tmp_path):
+        # The bytes still buffered made the exit flush fail again: "Exception
+        # ignored", exit 120, and the stats line of a command that seemed to
+        # succeed.
+        names = self.inputs(tmp_path)
+        argv = [a.format(**names) for a in self.RECORD_STDOUT_CASES[command]]
+        lines = self.run_buffered(argv).stdout.count("\n")
+        assert lines >= 2
+        proc = self.run_buffered(argv, sink)
+        assert proc.returncode == 2, proc.stderr
+        assert proc.stderr.splitlines() == [
+            f"error: record write failed after {lines} records: {self.SINKS[sink]}"
+        ]
+
+    @pytest.mark.parametrize("sink", sorted(SINKS))
+    @pytest.mark.parametrize("argv", [["mix", "--stats", "{stats}", "-o", "{manifest}"],
+                                      ["evalstats", "passk", "--n", "10", "--c", "3", "--k", "2"]],
+                             ids=["mix-table", "passk"])
+    def test_failed_printed_text_exits_2(self, argv, sink, tmp_path):
+        names = {**self.inputs(tmp_path), "manifest": tmp_path / "manifest.jsonl"}
+        proc = self.run_buffered([a.format(**names) for a in argv], sink)
+        assert proc.returncode == 2, proc.stderr
+        assert proc.stderr.splitlines() == [f"error: {self.SINKS[sink]}"]
 
     @pytest.mark.parametrize("command", sorted(SURROGATE_CASES))
     def test_deeply_nested_line_is_skipped_and_reported(self, command, tmp_path,

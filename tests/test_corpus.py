@@ -180,6 +180,23 @@ class TestWriteRecords:
             write_records(docs, Flaky())
         assert exc_info.value.written == 1
 
+    def test_dict_is_one_json_line_as_it_is(self):
+        buf = io.StringIO()
+        assert write_records([{"z": "café\n", "a": [1, {"b": None}]}, {}], buf) == 2
+        assert buf.getvalue() == '{"z": "café\\n", "a": [1, {"b": null}]}\n{}\n'
+
+    def test_failed_flush_counts_every_record(self):
+        class FullOnFlush(io.StringIO):
+            def flush(self):
+                raise OSError(28, "No space left on device")
+
+        docs = [Document(id=str(i), text="t") for i in range(3)]
+        with pytest.raises(RecordWriteError) as exc_info:
+            write_records(docs, FullOnFlush())
+        assert exc_info.value.written == 3
+        assert str(exc_info.value) == (
+            "record write failed after 3 records: [Errno 28] No space left on device")
+
 
 @given(
     st.lists(
