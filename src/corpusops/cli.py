@@ -383,7 +383,7 @@ def cmd_transform_fim(args: argparse.Namespace) -> int:
     from corpusops.transforms import FimConfig, fim_transform
 
     config = FimConfig(rng_seed=args.seed, mode_psm_probability=args.psm_probability)
-    rng = random.Random(args.seed)
+    rng = random.Random(config.rng_seed)
 
     # fim_transform checks the text before it draws from rng: a skip moves no cut.
     def parse(line: str, line_number: int) -> Document:
@@ -608,7 +608,6 @@ def cmd_plan(args: argparse.Namespace) -> int:
         weight_decay=args.wd,
         tau_target=tau_target,
         params=args.params,
-        schedule=args.schedule,
     )
     record = {
         "batch_tokens": plan.batch_tokens,
@@ -777,11 +776,12 @@ def main(argv: list[str] | None = None) -> int:
         sys.stdout.flush()  # a printed table or number fails here, not at exit
         return status
     except (ValueError, KeyError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        try:
-            sys.stdout.flush()
-        except OSError:  # the exit flush would fail on the same bytes: drop them
-            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        for stream, lines in ((sys.stderr, [f"error: {exc}\n"]), (sys.stdout, [])):
+            try:
+                stream.writelines(lines)
+                stream.flush()
+            except OSError:  # the exit flush would fail on the same bytes: drop them
+                os.dup2(os.open(os.devnull, os.O_WRONLY), stream.fileno())
         return 2
 
 

@@ -33,7 +33,6 @@ _SUBMODULE = {
     "choose_representative": "unionfind",
     "cluster": "unionfind",
     "Signature": "minhash",
-    "estimate_jaccard": "minhash",
     "signature": "minhash",
     "signature_matrix": "minhash",
     "NearDupConfig": "pipeline",

@@ -66,7 +66,6 @@ class BloomFilter:
     """Probabilistic membership set over byte strings."""
 
     def __init__(self, config: BloomConfig):
-        self.config = config
         self.num_bits = config.num_bits
         self.num_hashes = config.num_hashes
         self._bits = bytearray((self.num_bits + 7) // 8)

@@ -5,10 +5,10 @@ word 13-grams (:func:`~corpusops.dedup.text.shingles`), and sketched by
 one-permutation MinHash into 128 bins (Li, Owen & Zhang, NeurIPS 2012)
 with optimal densification of empty bins (Shrivastava, ICML 2017).  The
 fraction of equal signature components estimates the Jaccard similarity
-of the shingle sets (:func:`estimate_jaccard`).  :func:`band_keys` hashes
-each band of a signature so that similar documents collide in at least
-one bucket, and :func:`confirm_sketch` keeps the low 16 bits of each
-bin (:data:`SKETCH_DTYPE`), enough to tell equal bins from unequal ones
+of the shingle sets.  :func:`band_keys` hashes each band of a signature
+so that similar documents collide in at least one bucket, and
+:func:`confirm_sketch` keeps the low 16 bits of each bin
+(:data:`SKETCH_DTYPE`), enough to tell equal bins from unequal ones
 (b-bit minwise hashing, Li & König, WWW 2010).
 
 Input contract: texts are non-empty ``normalize`` output and shingles
@@ -69,7 +69,6 @@ __all__ = [
     "Signature",
     "band_keys",
     "confirm_sketch",
-    "estimate_jaccard",
     "signature",
     "signature_matrix",
 ]
@@ -106,16 +105,6 @@ class Signature:
         self.values = np.asarray(self.values, dtype=np.uint64)
         if self.values.ndim != 1 or self.values.size < 1:
             raise ValueError("signature values must be a non-empty 1-D vector")
-
-    def __len__(self) -> int:
-        return int(self.values.size)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, Signature):
-            return NotImplemented
-        return self.perm_seed == other.perm_seed and np.array_equal(
-            self.values, other.values
-        )
 
 
 def _splitmix64(x: np.ndarray) -> np.ndarray:
@@ -318,20 +307,6 @@ def signature(
         word_hashes, np.cumsum(widths) - widths, widths, rows, 1, perm_seed, num_perm
     )
     return Signature(values=matrix[0], perm_seed=perm_seed)
-
-
-def estimate_jaccard(sig_a: Signature, sig_b: Signature) -> float:
-    """Fraction of equal components: a Jaccard estimate in [0, 1]."""
-    if len(sig_a) != len(sig_b):
-        raise ValueError(
-            f"signature lengths differ: {len(sig_a)} vs {len(sig_b)}"
-        )
-    if sig_a.perm_seed != sig_b.perm_seed:
-        raise ValueError(
-            f"signatures from different perm seeds: "
-            f"{sig_a.perm_seed} vs {sig_b.perm_seed}"
-        )
-    return float(np.mean(sig_a.values == sig_b.values))
 
 
 def band_keys(matrix: np.ndarray, rows: int) -> np.ndarray:

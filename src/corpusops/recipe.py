@@ -166,7 +166,6 @@ class RecipePlan:
     steps: int
     tau: float
     params: float | None = None
-    schedule: Schedule | None = None
 
     @property
     def tokens_per_parameter(self) -> float | None:
@@ -182,7 +181,6 @@ def build_plan(
     weight_decay: float | None = None,
     tau_target: float | None = None,
     params: float | None = None,
-    schedule: Schedule | None = None,
 ) -> RecipePlan:
     """Resolve a plan from either a weight decay or a target timescale."""
     if (weight_decay is None) == (tau_target is None):
@@ -200,7 +198,6 @@ def build_plan(
         steps=steps_from(total_tokens, batch_tokens),
         tau=tau,
         params=params,
-        schedule=schedule,
     )
 
 

@@ -57,9 +57,7 @@ class FimConfig:
             raise ValueError("mode_psm_probability must be in [0, 1]")
 
 
-def fim_transform(
-    text: str, config: FimConfig = FimConfig(), rng: random.Random | None = None
-) -> str:
+def fim_transform(text: str, config: FimConfig, rng: random.Random) -> str:
     """Split text at two uniform random cut points and relabel the spans.
 
     With probability ``mode_psm_probability`` the output is the PSM layout
@@ -67,6 +65,11 @@ def fim_transform(
     (suffix block first).  Cut points may coincide, giving an empty middle;
     the output is still well formed.  Content bytes are conserved and each
     special token appears exactly once.
+
+    ``rng`` is one stream for all the texts a caller transforms, which the
+    caller seeds from ``config.rng_seed``; drawn from one stream, the texts
+    take the PSM layout at the configured rate.  A rejected text draws
+    nothing.
 
     Raises ``ValueError`` for empty text or text already containing one of
     the special tokens (reconstruction would be ambiguous).
@@ -76,8 +79,6 @@ def fim_transform(
     for token in (FIM_PREFIX, FIM_MIDDLE, FIM_SUFFIX):
         if token in text:
             raise ValueError(f"text contains reserved token {token!r}")
-    if rng is None:
-        rng = random.Random(config.rng_seed)
 
     i, j = sorted((rng.randint(0, len(text)), rng.randint(0, len(text))))
     prefix, middle, suffix = text[:i], text[i:j], text[j:]
@@ -147,8 +148,9 @@ def _extension(path: str) -> str:
 
 def _at_line_start(text: str, start: int, pos: int) -> bool:
     # ``^\s*`` (MULTILINE): only whitespace since the last "\n", and that
-    # line starts at or after the search position.
-    line = text.rfind("\n", 0, start) + 1
+    # line starts at or after the search position.  A "\n" before
+    # ``pos - 1`` fails the check either way, so the look-back stops there.
+    line = text.rfind("\n", max(pos - 1, 0), start) + 1
     return line >= pos and (line == start or text[line:start].isspace())
 
 
@@ -157,7 +159,7 @@ _PUB_PREFIX = re.compile(r"\s*(?:pub\s+)?")
 
 def _after_pub_prefix(text: str, start: int, pos: int) -> bool:
     # ``^\s*(?:pub\s+)?``: the same line start, then an optional ``pub``.
-    line = text.rfind("\n", 0, start) + 1
+    line = text.rfind("\n", max(pos - 1, 0), start) + 1
     return line >= pos and _PUB_PREFIX.fullmatch(text, line, start) is not None
 
 
@@ -179,15 +181,28 @@ _ANCHORS = (
 )
 
 
+# A keyword followed by ``\b[^;\n]*?`` (JS ``import ... from``): once one
+# passes its anchor and the rest fails, so does every later one before the
+# next ";" or "\n", whose rest can go on only where the first one's could.
+# ``re.search`` would try each, scanning to that stop every time, so the
+# keyword is searched alone and a failed candidate resumes after the stop.
+_LINE_SCAN = re.compile(r"\w+\\b(?=\[\^;\\n\]\*\?)")
+_STOP = re.compile(r"[;\n]")
+
+
 def _compile_import_pattern(
     pattern: str,
-) -> tuple[re.Pattern[str], Callable[[str, int, int], bool]]:
-    """Split ``pattern`` into a regex that starts at its literal keyword and
-    a Python check of the anchor it dropped."""
+) -> tuple[re.Pattern[str], Callable[[str, int, int], bool], re.Pattern[str] | None]:
+    """Split ``pattern`` into a regex that starts at its literal keyword, a
+    Python check of the anchor it dropped, and, for a line scan, that regex
+    with the keyword alone searched first."""
     for anchor, check, keyword_start in _ANCHORS:
         rest = pattern[len(anchor):]
         if pattern.startswith(anchor) and keyword_start.match(rest):
-            return re.compile(rest, re.MULTILINE), check
+            line_scan = _LINE_SCAN.match(rest)
+            if line_scan is None:
+                return re.compile(rest, re.MULTILINE), check, None
+            return re.compile(line_scan.group()), check, re.compile(rest, re.MULTILINE)
     raise ValueError(f"import pattern {pattern!r} does not start with a known "
                      "anchor followed by a literal keyword")
 
@@ -211,18 +226,24 @@ def extract_imports(repo_file: RepoFile) -> list[str]:
     quickly, and its leading anchor is checked in Python.  A rejected
     candidate resumes the search one character later, an accepted one
     at its end, so the matches are the same leftmost, non-overlapping ones.
+    An ``import\\b[^;\\n]*?`` candidate that passes its anchor and then
+    fails resumes after the next ``;`` or newline, so the scan is linear in
+    the line's length.
     """
     text = repo_file.text
     seen: dict[str, None] = {}
-    for keyword, anchored in _IMPORT_SCANNERS.get(_extension(repo_file.path), ()):
+    for keyword, anchored, rest in _IMPORT_SCANNERS.get(_extension(repo_file.path), ()):
         pos = 0
         while (match := keyword.search(text, pos)) is not None:
             start = match.start()
-            if anchored(text, start, pos):
+            if not anchored(text, start, pos):
+                pos = start + 1
+            elif rest is not None and (match := rest.match(text, start)) is None:
+                stop = _STOP.search(text, start)
+                pos = len(text) if stop is None else stop.end()
+            else:
                 seen[match.group(1)] = None
                 pos = match.end()
-            else:
-                pos = start + 1
     return list(seen)
 
 

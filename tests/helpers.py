@@ -106,6 +106,12 @@ def exact_jaccard(a, b) -> float:
     return len(a & b) / len(a | b)
 
 
+def estimate_jaccard(sig_a, sig_b) -> float:
+    """Fraction of equal components of two signatures: the MinHash estimate."""
+    pairs = list(zip(sig_a.values.tolist(), sig_b.values.tolist(), strict=True))
+    return sum(a == b for a, b in pairs) / len(pairs)
+
+
 def fresh_token(rng: random.Random) -> str:
     return f"t{rng.randrange(10**12)}"
 

@@ -16,7 +16,6 @@ from corpusops.dedup import (
     BloomConfig,
     BloomFilter,
     NearDupConfig,
-    estimate_jaccard,
     near_dedup,
     normalize,
     shingles,
@@ -52,6 +51,7 @@ from corpusops.transforms import (
 )
 from helpers import (
     enumerated_pass_at_k,
+    estimate_jaccard,
     exact_jaccard,
     optimal_bins,
     planted_corpus,

@@ -1,5 +1,6 @@
 import io
 import json
+import math
 import os
 import random
 import subprocess
@@ -727,6 +728,15 @@ class TestTransformCli:
         _, out1, _ = run_cli(["transform", "fim", "--seed", "7"], stdin, monkeypatch, capsys)
         _, out2, _ = run_cli(["transform", "fim", "--seed", "7"], stdin, monkeypatch, capsys)
         assert out1 == out2
+
+    def test_fim_psm_share_follows_the_configured_rate(self, monkeypatch, capsys):
+        n = 2_000
+        stdin = records(*({"id": str(i), "text": "x" * (1 + i % 20)} for i in range(n)))
+        code, out, _ = run_cli(["transform", "fim", "--psm-probability", "0.5"], stdin,
+                               monkeypatch, capsys)
+        assert code == 0
+        psm = sum(d["text"].startswith("<|fim_prefix|>") for d in parse_lines(out))
+        assert abs(psm / n - 0.5) <= 4 * math.sqrt(0.25 / n)
 
     def test_fim_skips_records_containing_reserved_tokens(self, monkeypatch, capsys):
         stdin = records(
@@ -1466,6 +1476,29 @@ class TestErrorPaths:
         assert proc.stderr.splitlines() == [
             f"error: record write failed after {lines} records: {self.SINKS[sink]}"
         ]
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+    @pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+    @pytest.mark.parametrize("argv", [["dedup-exact", "--capacity", "10", "-i", "{path}"],
+                                      ["pack", "--capacity", "8", "-i", "{bad}"]],
+                             ids=["stats-line", "line-report"])
+    def test_failed_stderr_exits_2(self, argv, unbuffered, tmp_path):
+        # main's error line failed on the same device inside its except:
+        # exit 1, or 120 once the exit flush failed too.  The child's stderr
+        # is the device, so only its status can be checked.
+        names = {**self.inputs(tmp_path), "bad": tmp_path / "bad.jsonl"}
+        names["bad"].write_text("bad\n")
+        env = {k: v for k, v in os.environ.items()
+               if k not in ("PYTHONUNBUFFERED", "CORPUSOPS_WEBHOOK")}
+        if unbuffered:
+            env["PYTHONUNBUFFERED"] = "1"
+        stderr = os.open("/dev/full", os.O_WRONLY)
+        try:
+            proc = run_corpusops(*(a.format(**names) for a in argv), env=env,
+                                 stdout=subprocess.PIPE, stderr=stderr, capture_output=False)
+        finally:
+            os.close(stderr)
+        assert proc.returncode == 2
 
     @pytest.mark.parametrize("sink", sorted(SINKS))
     @pytest.mark.parametrize("argv", [["mix", "--stats", "{stats}", "-o", "{manifest}"],

@@ -12,7 +12,6 @@ from hypothesis import strategies as st
 from corpusops.corpus import Document
 from corpusops.dedup import (
     NearDupConfig,
-    estimate_jaccard,
     near_dedup,
     normalize,
     shingles,
@@ -22,6 +21,7 @@ from corpusops.dedup import (
 from corpusops.dedup import pipeline
 from corpusops.dedup.minhash import band_keys
 from helpers import (
+    estimate_jaccard,
     exact_jaccard,
     fresh_token,
     mutate_document,
@@ -75,7 +75,9 @@ class TestShingles:
 class TestSignature:
     def test_identical_sets_identical_signatures(self):
         grams = [f"g{i}" for i in range(40)]
-        assert signature(grams, perm_seed=7) == signature(list(reversed(grams)), perm_seed=7)
+        a = signature(grams, perm_seed=7)
+        b = signature(list(reversed(grams)), perm_seed=7)
+        assert np.array_equal(a.values, b.values)
 
     def test_empty_set_is_error(self):
         with pytest.raises(ValueError):
@@ -153,18 +155,6 @@ class TestEstimateJaccard:
             )
             errors.append(abs(est - exact))
         assert sum(errors) / len(errors) <= 0.05
-
-    def test_mismatched_length_errors(self):
-        a = signature(["x"], perm_seed=0, num_perm=128)
-        b = signature(["x"], perm_seed=0, num_perm=64)
-        with pytest.raises(ValueError):
-            estimate_jaccard(a, b)
-
-    def test_mismatched_seed_errors(self):
-        a = signature(["x"], perm_seed=0)
-        b = signature(["x"], perm_seed=1)
-        with pytest.raises(ValueError):
-            estimate_jaccard(a, b)
 
     def test_match_fraction_stddev_bounded_over_500_seeds(self):
         # Invariant: empirical std over seeds <= 1.5 * sqrt(J(1-J)/128).
@@ -332,7 +322,7 @@ class TestSignatureMatrix:
             Document(id="c", text=" ".join(random_words(rng, 150))),
         ]
         sig = signature(shingles(normalize(docs[0].text)), 0, num_perm)
-        assert len(sig) == num_perm
+        assert sig.values.shape == (num_perm,)
         assert band_keys(sig.values[np.newaxis], rows).shape == (1, bands)
         config = NearDupConfig(num_perm=num_perm, bands=bands, rows=rows)
         kept, clusters = near_dedup(docs, config)

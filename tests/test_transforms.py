@@ -1,3 +1,4 @@
+import math
 import random
 
 import pytest
@@ -87,6 +88,18 @@ class TestFimTransform:
             out = fim_transform("hello world", CFG, random.Random(seed))
             layouts.add("psm" if out.startswith(FIM_PREFIX) else "spm")
         assert layouts == {"psm", "spm"}
+
+    @pytest.mark.parametrize("p", [0.2, 0.5, 0.9])
+    def test_psm_share_follows_the_configured_rate(self, p):
+        # Texts drawn from one stream take the PSM layout at rate p.  A
+        # generator seeded afresh per text gives each length one layout, so
+        # over 20 lengths the share moves in steps of 5%.
+        config, rng, n = FimConfig(mode_psm_probability=p), random.Random(12), 10_000
+        psm = sum(
+            fim_transform("x" * (1 + i % 20), config, rng).startswith(FIM_PREFIX)
+            for i in range(n)
+        )
+        assert abs(psm / n - p) <= 4 * math.sqrt(p * (1 - p) / n)
 
 
 class TestExtractImports:
@@ -187,6 +200,26 @@ class TestExtractImportsMatchesFinditer:
     @example(ext="js", text="éimport 'a'; _require('b'); 1import 'c'")
     def test_same_names_as_finditer(self, ext, text):
         repo_file = RepoFile(f"src/file.{ext}", text)
+        assert extract_imports(repo_file) == reference_extract_imports(repo_file)
+
+    @pytest.mark.parametrize("text", [
+        "import a, import b from 'c'",
+        "import a; import b from 'c'",
+        "import a\nimport b from 'c'",
+        "import a; from 'b'",
+        "import a\nfrom 'b'",
+        "import 'a' from 'b'",
+        "import a from 'b; import c from 'd'",
+        "import a from \"b\nimport c from 'd'",
+        "importx a from 'b' import c from 'd'",
+        "ximport a from 'b' import c from 'd'",
+        "import a fromm 'b' import c from 'd'",
+        "import a from 'b import c from 'd' e",
+        "import a, " * 50 + "from 'z'",
+    ])
+    def test_line_scan_same_names_as_finditer(self, text):
+        # A failed "import ... from" resumes after the next ";" or newline.
+        repo_file = RepoFile("src/file.js", text)
         assert extract_imports(repo_file) == reference_extract_imports(repo_file)
 
     @pytest.mark.parametrize(
